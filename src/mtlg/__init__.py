@@ -45,7 +45,6 @@ from .netlist import (
 )
 from .synth import (
     DeviceRangeError,
-    InfeasibleTargetError,
     SynthesisResult,
     SynthesisSpec,
     VerifyReport,

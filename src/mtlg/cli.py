@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 ok, 2 usage/parse errors, 3 model errors (infeasible target,
-out-of-range device request, netlist diagnostics, unresolved evaluation).
+Exit codes: 0 ok, 2 usage/parse errors and unreadable or unwritable files,
+3 model errors (infeasible target, out-of-range device request, netlist
+diagnostics, unresolved evaluation).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from . import device as dev_mod
 from . import files, netlist as net_mod, synth as synth_mod, transient as tr_mod
 from .gate import (
     GateConfig,
-    TieRule,
     bits_of_index,
     boundary_grid,
     branch_currents,
@@ -92,9 +92,6 @@ def cmd_truth(args) -> int:
     if args.netlist:
         tie = files.parse_tie_rule(args.tie_rule) if args.tie_rule else cfg.tie_rule
         net = files.parse_netlist_file(args.netlist, levels=cfg.levels, tie_rule=tie)
-        diags = net_mod.validate(net)
-        if diags:
-            raise net_mod.NetlistError(diags)
         tables = net_mod.network_truth_table(net)
         for (gname, tap), tt in zip(net.primary_outputs, tables):
             print(f"output {gname}.{tap}:")
@@ -156,15 +153,15 @@ def cmd_synth(args) -> int:
     tie = files.parse_tie_rule(args.tie_rule) if args.tie_rule else cfg.tie_rule
     tap = "CA"
     target = args.target.strip()
-    if set(target) <= {"0", "1"} and len(target) >= 2:
-        tt = synth_mod.TruthTable.from_bitstring(target, args.n)
-    else:
-        if not args.n:
+    try:
+        if set(target) <= {"0", "1"} and len(target) >= 2:
+            tt = synth_mod.TruthTable.from_bitstring(target, args.n)
+        elif not args.n:
             raise files.ParseError("named targets need --n")
-        try:
+        else:
             tt, tap = synth_mod.named_truth_table(target, args.n)
-        except ValueError as e:
-            raise files.ParseError(str(e)) from None
+    except ValueError as e:
+        raise files.ParseError(str(e)) from None
     spec = synth_mod.SynthesisSpec(
         target=tt, device=cfg.device, tie_rule=tie, min_margin_rel=args.margin
     )
@@ -287,13 +284,10 @@ def main(argv=None) -> int:
         return e.code if e.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except files.ParseError as e:
+    except (files.ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ModelError, net_mod.NetlistError, synth_mod.DeviceRangeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MODEL
-    except ValueError as e:
+    except (ModelError, ValueError, net_mod.NetlistError, synth_mod.DeviceRangeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MODEL
 

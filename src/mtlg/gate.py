@@ -109,10 +109,10 @@ class TruthTable:
     outputs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "outputs", tuple(int(b) for b in self.outputs))
+        object.__setattr__(self, "outputs", tuple(map(int, self.outputs)))
         if len(self.outputs) != 2 ** self.n:
             raise ValueError(f"expected {2 ** self.n} outputs, got {len(self.outputs)}")
-        if any(b not in (0, 1) for b in self.outputs):
+        if not set(self.outputs) <= {0, 1}:
             raise ValueError("outputs must be 0/1")
 
     @staticmethod
@@ -186,48 +186,79 @@ def _check_bits(config: GateConfig, bits) -> tuple[int, ...]:
     return bits
 
 
+def _threshold_current(config: GateConfig) -> float:
+    return config.levels.v_dd * sum(1.0 / m for m in config.threshold_memristances)
+
+
 def branch_currents(config: GateConfig, bits) -> BranchCurrents:
     """Currents drawn by the active input memristors and by the threshold bank."""
     bits = _check_bits(config, bits)
     v = config.levels.v_dd
     i_in = v * sum(1.0 / m for m, b in zip(config.input_memristances, bits) if b)
-    i_th = v * sum(1.0 / m for m in config.threshold_memristances)
-    return BranchCurrents(i_in=i_in, i_th=i_th)
+    return BranchCurrents(i_in=i_in, i_th=_threshold_current(config))
 
 
-def _compare(i_in: float, i_th: float, tie_rule: TieRule) -> int:
-    """1 if the input branch wins the current comparison, 0 otherwise."""
-    if abs(i_in - i_th) <= TIE_EPS_REL * max(abs(i_in), abs(i_th)):
-        return 1 if tie_rule is TieRule.INPUT_WINS else 0
-    return 1 if i_in > i_th else 0
+def decide(i_in, i_th, tie_rule: TieRule):
+    """CA (int8) for scalars or arrays alike: 1 where the input branch wins, the
+    tie rule where the currents lie within the relative tie band, else 0."""
+    tie = np.abs(i_in - i_th) <= TIE_EPS_REL * np.maximum(np.abs(i_in), np.abs(i_th))
+    if tie_rule is TieRule.INPUT_WINS:
+        return ((i_in > i_th) | tie).astype(np.int8)
+    return ((i_in > i_th) & ~tie).astype(np.int8)
 
 
 def evaluate(config: GateConfig, bits) -> GateOutput:
     bc = branch_currents(config, bits)
-    ca = _compare(bc.i_in, bc.i_th, config.tie_rule)
+    ca = int(decide(bc.i_in, bc.i_th, config.tie_rule))
     return GateOutput(ca=ca, co=1 - ca)
+
+
+def evaluate_patterns(config: GateConfig, columns) -> np.ndarray:
+    """CA for many input patterns at once; columns[i] holds input i's 0/1 bit
+    of every pattern. The active conductances add in slot order, as in
+    branch_currents, so every decision equals evaluate's bit for bit."""
+    s = sum(np.where(col, 1.0 / m, 0.0)
+            for m, col in zip(config.input_memristances, columns))
+    return decide(config.levels.v_dd * s, _threshold_current(config), config.tie_rule)
+
+
+def _corner_sums(terms, zero=0.0) -> np.ndarray:
+    """sum(t_i * x_i) at every input corner x, in truth-table order. Doubling
+    over the terms in slot order adds each corner's active terms left to right,
+    as Python's sum does, so float sums equal branch_currents' bit for bit."""
+    s = np.array([zero])
+    for t in terms:
+        s = (s[:, None] + [zero, t]).ravel()
+    return s
 
 
 def truth_table(config: GateConfig) -> TruthTable:
     """Exhaustive evaluation over all 2^n input corners."""
-    n = config.n
-    outs = tuple(evaluate(config, bits_of_index(k, n)).ca for k in range(2 ** n))
-    return TruthTable(n, outs)
+    i_in = config.levels.v_dd * _corner_sums([1.0 / m for m in config.input_memristances])
+    ca = decide(i_in, _threshold_current(config), config.tie_rule)
+    return TruthTable(config.n, ca.tolist())
 
 
 def classify(tt: TruthTable) -> GateClass:
-    n, outs = tt.n, tt.outputs
-    if all(b == 0 for b in outs):
+    n, outs = tt.n, np.frombuffer(bytes(tt.outputs), dtype=np.int8)  # 0/1 fit bytes
+    if not outs.any():
         return GateClass(GateKind.CONSTANT_ZERO)
-    if all(b == 1 for b in outs):
+    if outs.all():
         return GateClass(GateKind.CONSTANT_ONE)
 
+    # (output with x_i = 0, output with x_i = 1) over the other inputs
+    cube = outs.reshape((2,) * n)
+    halves = [(np.take(cube, 0, axis=i), np.take(cube, 1, axis=i)) for i in range(n)]
+
     # dictator: output copies one input
-    for i in range(n):
-        if all(outs[k] == bits_of_index(k, n)[i] for k in range(2 ** n)):
+    for i, (lo, hi) in enumerate(halves):
+        if not lo.any() and hi.all():
             return GateClass(GateKind.DICTATOR, index=i)
 
-    maj = _majority_rank(outs, n)
+    popcount = _corner_sums([1] * n, zero=0)
+    rows = np.bincount(popcount, minlength=n + 1)
+    ones = np.bincount(popcount[outs == 1], minlength=n + 1)
+    maj = _majority_rank(ones, rows)
     if maj is not None:
         if maj == n and n >= 2:
             return GateClass(GateKind.AND, k=maj)
@@ -235,40 +266,26 @@ def classify(tt: TruthTable) -> GateClass:
             return GateClass(GateKind.OR, k=maj)
         return GateClass(GateKind.MAJORITY, k=maj)
 
-    comp = tuple(1 - b for b in outs)
-    cmaj = _majority_rank(comp, n)
+    cmaj = _majority_rank(rows - ones, rows)
     if cmaj == n and n >= 2:
         return GateClass(GateKind.NAND, k=cmaj)
     if cmaj == 1 and n >= 2:
         return GateClass(GateKind.NOR, k=cmaj)
 
-    if _is_monotone(outs, n):
+    # flipping any input 0 -> 1 must never turn the output off
+    if all((lo <= hi).all() for lo, hi in halves):
         return GateClass(GateKind.OTHER_THRESHOLD)
     return GateClass(GateKind.NON_MONOTONE)
 
 
-def _majority_rank(outs, n) -> int | None:
-    """k such that outs = [popcount >= k], or None."""
-    by_count: dict[int, set[int]] = {}
-    for k in range(2 ** n):
-        by_count.setdefault(bin(k).count("1"), set()).add(outs[k])
-    if any(len(v) != 1 for v in by_count.values()):
-        return None
-    step = [next(iter(by_count[c])) for c in range(n + 1)]
-    for k in range(1, n + 1):
-        if step == [0] * k + [1] * (n + 1 - k):
-            return k
+def _majority_rank(ones, rows) -> int | None:
+    """k such that the table is [popcount >= k], or None, given its count of
+    1-rows and of all rows at each popcount 0..n."""
+    on = ones == rows
+    k = len(rows) - int(on.sum())
+    if ((ones == 0) | on).all() and 1 <= k < len(rows) and on[k:].all():
+        return k
     return None
-
-
-def _is_monotone(outs, n) -> bool:
-    # flipping any input 0 -> 1 must never turn the output off
-    for k in range(2 ** n):
-        for i in range(n):
-            mask = 1 << i
-            if not (k & mask) and outs[k] > outs[k | mask]:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -303,9 +320,5 @@ def boundary_grid(config: GateConfig, resolution: int) -> BoundaryMap:
     axes = tuple(np.linspace(0.0, 1.0, resolution) for _ in range(config.n))
     mesh = np.meshgrid(*axes, indexing="ij")
     lhs = sum(gi * a for gi, a in zip(g, mesh))
-    tie = np.abs(lhs - g_t) <= TIE_EPS_REL * np.maximum(np.abs(lhs), abs(g_t))
-    if config.tie_rule is TieRule.INPUT_WINS:
-        grid = ((lhs > g_t) | tie).astype(np.int8)
-    else:
-        grid = ((lhs > g_t) & ~tie).astype(np.int8)
+    grid = decide(lhs, g_t, config.tie_rule)
     return BoundaryMap(axes=axes, grid=grid, conductances=g, g_threshold=g_t)

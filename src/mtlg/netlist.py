@@ -11,7 +11,10 @@ from __future__ import annotations
 import graphlib
 from dataclasses import dataclass
 
-from .gate import GateConfig, TruthTable, bits_of_index, evaluate
+import numpy as np
+
+# evaluate is unused here but stays importable: perfbench/tracing.py wraps it
+from .gate import GateConfig, TruthTable, evaluate, evaluate_patterns  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,12 @@ def _diag(code, message):
 
 def validate(net: Netlist) -> list[Diagnostic]:
     """Structural checks; an empty list means the netlist is well formed."""
-    diags = []
+    return _diagnose(net)[0]
+
+
+def _diagnose(net: Netlist) -> tuple[list[Diagnostic], tuple[str, ...]]:
+    """validate's diagnostics, plus the gates in topological order."""
+    diags, order = [], ()
     driven: dict[tuple[str, int], list[Wire]] = {}
     deps: dict[str, set[str]] = {name: set() for name in net.gates}
 
@@ -120,11 +128,11 @@ def validate(net: Netlist) -> list[Diagnostic]:
             diags.append(_diag("BadTap", f"output tap must be CA or CO, got {tap!r}"))
 
     try:
-        tuple(graphlib.TopologicalSorter(deps).static_order())
+        order = tuple(graphlib.TopologicalSorter(deps).static_order())
     except graphlib.CycleError as e:
         cycle = " -> ".join(e.args[1])
         diags.append(_diag("CycleError", f"gate dependency cycle: {cycle}"))
-    return diags
+    return diags, order
 
 
 class NetlistError(Exception):
@@ -133,40 +141,35 @@ class NetlistError(Exception):
         self.diagnostics = diagnostics
 
 
-def _topo_order(net: Netlist) -> list[str]:
-    deps: dict[str, set[str]] = {name: set() for name in net.gates}
-    for w in net.wires:
-        if w.source.kind == "gate":
-            deps[w.gate].add(w.source.name)
-    return list(graphlib.TopologicalSorter(deps).static_order())
+def _evaluate(net: Netlist, columns) -> list[np.ndarray]:
+    """Output tap columns for primary input columns: every row is one input
+    pattern, pushed through each gate in topological order at once. The
+    netlist is validated once, whatever the number of patterns."""
+    diags, order = _diagnose(net)
+    if diags:
+        raise NetlistError(diags)
+    if len(columns) != net.primary_inputs:
+        msg = f"{len(columns)} input bits for {net.primary_inputs} primaries"
+        raise NetlistError([_diag("DimensionMismatch", msg)])
+    by_dest = {(w.gate, w.slot): w.source for w in net.wires}
+    taps: dict[tuple[str, str], np.ndarray] = {}
+
+    def column(src: Source) -> np.ndarray:
+        return columns[src.index] if src.kind == "in" else taps[(src.name, src.tap)]
+
+    for name in order:
+        cfg = net.gates[name]
+        ca = evaluate_patterns(cfg, [column(by_dest[(name, s)]) for s in range(cfg.n)])
+        taps[(name, "CA")], taps[(name, "CO")] = ca, 1 - ca
+    return [taps[(g, tap)] for g, tap in net.primary_outputs]
 
 
 def evaluate_network(net: Netlist, inputs) -> tuple[int, ...]:
     """Bits at the primary output taps for one primary input vector."""
-    diags = validate(net)
-    if diags:
-        raise NetlistError(diags)
-    inputs = tuple(int(b) for b in inputs)
-    if len(inputs) != net.primary_inputs:
-        raise NetlistError(
-            [_diag("DimensionMismatch",
-                   f"{len(inputs)} input bits for {net.primary_inputs} primaries")]
-        )
-    by_dest = {(w.gate, w.slot): w.source for w in net.wires}
-    values: dict[tuple[str, str], int] = {}
-    for name in _topo_order(net):
-        cfg = net.gates[name]
-        bits = []
-        for slot in range(cfg.n):
-            src = by_dest[(name, slot)]
-            if src.kind == "in":
-                bits.append(inputs[src.index])
-            else:
-                bits.append(values[(src.name, src.tap)])
-        out = evaluate(cfg, bits)
-        values[(name, "CA")] = out.ca
-        values[(name, "CO")] = out.co
-    return tuple(values[(g, tap)] for g, tap in net.primary_outputs)
+    columns = [np.array([int(b)]) for b in inputs]
+    if any(col[0] not in (0, 1) for col in columns):
+        raise ValueError("input bits must be 0/1")
+    return tuple(int(col[0]) for col in _evaluate(net, columns))
 
 
 def network_truth_table(net: Netlist) -> list[TruthTable]:
@@ -174,8 +177,6 @@ def network_truth_table(net: Netlist) -> list[TruthTable]:
     n = net.primary_inputs
     if n > 16:
         raise NetlistError([_diag("FanIn", f"{n} primary inputs > 16")])
-    rows = [evaluate_network(net, bits_of_index(k, n)) for k in range(2 ** n)]
-    return [
-        TruthTable(n, tuple(r[j] for r in rows))
-        for j in range(len(net.primary_outputs))
-    ]
+    k = np.arange(2 ** n)
+    columns = [((k >> (n - 1 - i)) & 1).astype(np.int8) for i in range(n)]
+    return [TruthTable(n, col.tolist()) for col in _evaluate(net, columns)]

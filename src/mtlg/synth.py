@@ -20,19 +20,11 @@ from .gate import (
     GateConfig,
     TieRule,
     TruthTable,
-    VoltageLevels,
     bits_of_index,
-    truth_table,
 )
 
 # strictness floor for rows that must hold with strict inequality
 _STRICT_EPS = 1e-9
-
-
-class InfeasibleTargetError(Exception):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class DeviceRangeError(Exception):
@@ -130,7 +122,7 @@ def _margin_lp(tt: TruthTable, ratio: float | None):
     return float(res.x[i_m]), tuple(float(v) for v in res.x[:n])
 
 
-def check_separability(tt: TruthTable, tie_rule: TieRule = TieRule.INPUT_WINS):
+def check_separability(tt: TruthTable):
     """Decide whether the table is realizable with positive weights.
 
     Returns (feasible, witness): when infeasible, the witness is the zero
@@ -156,7 +148,7 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
     tt = spec.target
     if tt.n > 10:
         raise ValueError(f"synthesis limited to n <= 10, got {tt.n}")
-    feasible, witness = check_separability(tt, spec.tie_rule)
+    feasible, witness = check_separability(tt)
     if not feasible:
         return SynthesisResult(feasible=False, infeasibility_witness=witness)
 

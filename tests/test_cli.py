@@ -97,6 +97,12 @@ class TestTruth:
         code, _, err = run(capsys, "truth", "--netlist", str(p))
         assert code == 3 and "cycle" in err
 
+    def test_missing_netlist_file_exit_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing.yaml"
+        code, out, err = run(capsys, "truth", "--netlist", str(missing))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "missing.yaml" in err
+
 
 class TestBoundary:
     def test_grid_and_hyperplane(self, capsys, tmp_path):
@@ -138,6 +144,13 @@ class TestWave:
         assert lines[0] == "t_s,clk_v,in1_v,in2_v,ca_v,co_v,cabar_v,cobar_v,resolved"
         assert len(lines) == 1 + 4 * 200  # 4 cycles at period / sample_dt = 200
 
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        out_file = tmp_path / "no-such-dir" / "wave.csv"
+        code, out, err = run(capsys, "wave", "--weights", "60k,30k;40k",
+                             "--inputs", "01", "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "wave.csv" in err
+
 
 class TestSynth:
     def test_xor_exit_3_with_witness(self, capsys):
@@ -162,6 +175,10 @@ class TestSynth:
     def test_bitstring_target(self, capsys):
         code, out, _ = run(capsys, "synth", "--target", "1110")
         assert code == 0  # OR2 given as bitstring (all-ones input first)
+
+    def test_malformed_bitstring_exit_2(self, capsys):
+        code, _, err = run(capsys, "synth", "--target", "011", "--n", "2")
+        assert code == 2 and "bitstring length 3" in err
 
     def test_quantized_output_flag(self, capsys, tmp_path):
         gate_file = tmp_path / "gate.yaml"

@@ -15,12 +15,14 @@ from mtlg.gate import (
     boundary_grid,
     branch_currents,
     classify,
+    decide,
     decision_hyperplane,
     evaluate,
+    evaluate_patterns,
     index_of_bits,
     truth_table,
 )
-from oracles import exact_branch_currents, exact_truth_table
+from oracles import exact_branch_currents, exact_ca, exact_truth_table
 
 AND_HW = GateConfig((60.5e3, 60e3), (33e3,))
 OR_HW = GateConfig((33.8e3, 18.3e3), (41.6e3,))
@@ -107,6 +109,52 @@ class TestTruthTable:
         assert tt.outputs == (0, 0, 0, 1)
         assert tt.to_bitstring() == "1000"
 
+    @pytest.mark.parametrize("rule", list(TieRule))
+    def test_n16_integer_weights_with_exact_ties(self, rule):
+        # 100800 ohm is divisible by 1..9: weight w draws w / 100800 siemens,
+        # so a row ties exactly when sum(w * x) equals the threshold weight
+        rng = np.random.default_rng(16)
+        w = rng.integers(1, 4, size=16)
+        t = int(w[[2, 7, 11]].sum())
+        cfg = GateConfig(tuple(100800 // w), (100800 // t,), tie_rule=rule)
+        got = np.array(truth_table(cfg).outputs)
+        k = np.arange(2 ** 16)
+        cols = [(k >> (15 - i)) & 1 for i in range(16)]
+        weight = sum(int(wi) * col for wi, col in zip(w, cols))
+        ties = np.flatnonzero(weight == t)
+        assert len(ties) > 0
+        clear = weight != t
+        assert np.array_equal(got[clear], (weight[clear] > t).astype(int))
+        wins = rule is TieRule.INPUT_WINS
+        for row in ties:
+            want = exact_ca(cfg.input_memristances, cfg.threshold_memristances,
+                            bits_of_index(int(row), 16), input_wins=wins)
+            assert got[row] == want == int(wins)
+
+    def test_rows_one_ulp_from_the_tie_band_edge(self):
+        # Pick the threshold so that moving the all-ones row's input current by
+        # one ulp flips its decision: the table then agrees with evaluate only
+        # if it sums the conductances in the same order, bit for bit.
+        rng = np.random.default_rng(6)
+        ones, edges = (1,) * 6, 0
+        for _ in range(40):
+            ms = tuple(10e3 * 10 ** rng.random(6))
+            i_in = branch_currents(GateConfig(ms, (1e4,)), ones).i_in
+            m_t = 0.65 / (i_in * (1 + 1e-9))
+            for _ in range(16):
+                cfg = GateConfig(ms, (m_t,))
+                i_th = branch_currents(cfg, ones).i_th
+                near = {int(decide(x, i_th, cfg.tie_rule))
+                        for x in (np.nextafter(i_in, 0.0), i_in, np.nextafter(i_in, 1.0))}
+                if len(near) == 2:
+                    edges += 1
+                    ca = evaluate(cfg, ones).ca
+                    assert truth_table(cfg).outputs[-1] == ca
+                    assert evaluate_patterns(cfg, [np.ones(1, np.int8)] * 6)[0] == ca
+                    break
+                m_t = np.nextafter(m_t, 0.0)
+        assert edges >= 30
+
     def test_fan_in_guard(self):
         with pytest.raises(FanInError):
             GateConfig(tuple([10e3] * 17), (10e3,))
@@ -142,6 +190,32 @@ class TestClassify:
             for k in range(8)
         )
         assert classify(TruthTable(3, f)).kind is GateKind.OTHER_THRESHOLD
+
+    @pytest.mark.parametrize("f, label", [
+        (lambda x: 1 - all(x), "NAND"),
+        (lambda x: 1 - any(x), "NOR"),
+        (lambda x: x[4], "dictator(x5)"),
+        (lambda x: int(sum(x) >= 12), "AND (MAJ-12)"),
+        (lambda x: int(sum(x) >= 1), "OR (MAJ-1)"),
+        (lambda x: int(sum(x) >= 7), "MAJ-7"),
+        (lambda x: int(3 * x[0] + 2 * x[1] + sum(x[2:]) >= 6), "threshold"),
+        (lambda x: sum(x) % 2, "non-monotone"),
+        (lambda x: int(sum(x) == 6), "non-monotone"),
+    ])
+    def test_labels_at_n12(self, f, label):
+        tt = TruthTable(12, tuple(f(bits_of_index(k, 12)) for k in range(2 ** 12)))
+        assert classify(tt).label() == label
+
+
+class TestDecide:
+    def test_scalar_and_array_agree(self):
+        i_in = np.array([1.0, 1.0 + 0.5e-9, 1.0 - 2e-9, 2.0, 0.5, 0.0])
+        for rule in TieRule:
+            arr = decide(i_in, 1.0, rule)
+            assert arr.dtype == np.int8
+            assert arr.tolist() == [int(decide(float(x), 1.0, rule)) for x in i_in]
+        assert decide(i_in, 1.0, TieRule.INPUT_WINS).tolist() == [1, 1, 0, 1, 0, 0]
+        assert decide(i_in, 1.0, TieRule.THRESHOLD_WINS).tolist() == [0, 0, 0, 1, 0, 0]
 
 
 class TestBoundary:

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from mtlg.gate import GateConfig, truth_table
+from mtlg.gate import GateConfig, TieRule, bits_of_index, truth_table
 from mtlg.netlist import (
     Netlist,
     NetlistError,
@@ -10,6 +12,7 @@ from mtlg.netlist import (
     network_truth_table,
     validate,
 )
+from oracles import exact_ca
 
 OR_HW = GateConfig((33.8e3, 18.3e3), (41.6e3,))
 AND_HW = GateConfig((60.5e3, 60e3), (33e3,))
@@ -131,6 +134,10 @@ class TestEvaluateNetwork:
         with pytest.raises(NetlistError):
             evaluate_network(single_gate_net(AND_HW), (0, 0, 1))
 
+    def test_non_binary_input_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate_network(single_gate_net(AND_HW), (0, 2))
+
 
 class TestNetworkTruthTable:
     def test_xor_table(self):
@@ -153,3 +160,55 @@ class TestNetworkTruthTable:
             primary_outputs=(),
         )
         assert network_truth_table(net) == []
+
+
+def random_net(seed):
+    """Up to 6 primaries and 6 gates; gate j reads primaries and CA/CO taps of
+    earlier gates. Half the gates have integer weights, so rows can tie exactly."""
+    rng = random.Random(seed)
+    n_in, rule = rng.randint(1, 6), rng.choice(list(TieRule))
+    gates, wires = {}, []
+    for j in range(rng.randint(1, 6)):
+        fan_in = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            w = [rng.randint(1, 3) for _ in range(fan_in)]
+            t = sum(rng.sample(w, rng.randint(1, fan_in)))
+            ms, ths = [100800 // x for x in w], [100800 // t]
+        else:
+            ms = [10e3 * 10 ** rng.random() for _ in range(fan_in)]
+            ths = [1 / (rng.random() * sum(1 / m for m in ms))]
+        gates[f"g{j}"] = GateConfig(ms, ths, tie_rule=rule)
+        for slot in range(fan_in):
+            if j and rng.random() < 0.5:
+                src = Source.gate_tap(f"g{rng.randrange(j)}", rng.choice(("CA", "CO")))
+            else:
+                src = Source.primary(rng.randrange(n_in))
+            wires.append(Wire(src, f"g{j}", slot))
+    outputs = tuple((name, tap) for name in gates for tap in ("CA", "CO")
+                    if rng.random() < 0.4) or (("g0", "CO"),)
+    return Netlist(gates, tuple(wires), n_in, outputs)
+
+
+def exact_outputs(net, bits):
+    """Per-row composition of the exact oracle, gates in name order (g0, g1, ...)."""
+    taps = {}
+    for name, cfg in net.gates.items():
+        ins = []
+        for w in sorted((w for w in net.wires if w.gate == name), key=lambda w: w.slot):
+            src = w.source
+            ins.append(bits[src.index] if src.kind == "in" else taps[(src.name, src.tap)])
+        ca = exact_ca(cfg.input_memristances, cfg.threshold_memristances, ins,
+                      input_wins=cfg.tie_rule is TieRule.INPUT_WINS)
+        taps[(name, "CA")], taps[(name, "CO")] = ca, 1 - ca
+    return tuple(taps[o] for o in net.primary_outputs)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_random_netlist_tables_match_exact_composition(seed):
+    net = random_net(seed)
+    n = net.primary_inputs
+    rows = [exact_outputs(net, bits_of_index(k, n)) for k in range(2 ** n)]
+    tables = network_truth_table(net)
+    assert [tt.outputs for tt in tables] == [tuple(r[j] for r in rows)
+                                             for j in range(len(net.primary_outputs))]
+    assert all(evaluate_network(net, bits_of_index(k, n)) == rows[k] for k in range(2 ** n))

@@ -31,6 +31,20 @@ def gate_configs(draw, max_n=4):
 
 
 @st.composite
+def near_tie_configs(draw, max_n=8):
+    """Threshold conductance at an input subset's sum, moved to within a few
+    ulps of the tie-band edge, where the summation order decides rows."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    ms = draw(st.tuples(*[resistance] * n))
+    subset = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    g_t = sum(1.0 / ms[i] for i in set(subset))
+    shift = (draw(st.sampled_from((-1e-9, 1e-9)))
+             + draw(st.floats(min_value=-1e-15, max_value=1e-15)))
+    tie = draw(st.sampled_from(list(TieRule)))
+    return GateConfig(ms, (1.0 / (g_t * (1.0 + shift)),), tie_rule=tie)
+
+
+@st.composite
 def config_and_bits(draw):
     cfg = draw(gate_configs())
     bits = draw(st.tuples(*[st.integers(0, 1)] * cfg.n))
@@ -82,7 +96,7 @@ class TestGateInvariants:
         )
         assert got == want
 
-    @given(gate_configs(max_n=3))
+    @given(st.one_of(gate_configs(max_n=8), near_tie_configs()))
     def test_truth_table_agrees_with_rowwise_evaluate(self, cfg):
         tt = truth_table(cfg)
         for k in range(2 ** cfg.n):
