@@ -16,7 +16,6 @@ from . import device as dev_mod
 from . import files, netlist as net_mod, synth as synth_mod, transient as tr_mod
 from .gate import (
     GateConfig,
-    bits_of_index,
     boundary_grid,
     branch_currents,
     classify,
@@ -81,10 +80,9 @@ def cmd_eval(args) -> int:
 
 
 def _print_table(tt, prefix=""):
-    for k in range(2 ** tt.n):
-        bits = "".join(str(b) for b in bits_of_index(k, tt.n))
-        print(f"{prefix}{bits} {tt.outputs[k]} {1 - tt.outputs[k]}")
-    print(f"{prefix}class={classify(tt).label()}")
+    rows = [f"{prefix}{k:0{tt.n}b} {o} {1 - o}" for k, o in enumerate(tt.outputs)]
+    rows.append(f"{prefix}class={classify(tt).label()}")
+    print("\n".join(rows))
 
 
 def cmd_truth(args) -> int:
@@ -124,9 +122,8 @@ def cmd_boundary(args) -> int:
         if gate.n in (2, 3):
             bm = boundary_grid(gate, args.res)
             fh.write(",".join(f"a{i + 1}" for i in range(gate.n)) + ",class\n")
-            for idx in np.ndindex(bm.grid.shape):
-                coords = ",".join(f"{bm.axes[d][i]:.9g}" for d, i in enumerate(idx))
-                fh.write(f"{coords},{int(bm.grid[idx])}\n")
+            coords = np.meshgrid(*bm.axes, indexing="ij")
+            tr_mod.write_rows(fh, [a.ravel() for a in coords] + [bm.grid.ravel()])
     finally:
         if close:
             fh.close()

@@ -125,7 +125,7 @@ _CLOCK_KEYS = {"period_s": "clock_period", "duty_eq": "clock_duty_eq",
 def _load_yaml(path) -> dict:
     with open(path) as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as e:
             raise ParseError(f"{path}: {e}") from None
     if data is None:

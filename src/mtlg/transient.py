@@ -76,11 +76,12 @@ def settle_time(
     return max(0.0, params.tau * math.log(levels.v_dd / (2.0 * dv0)))
 
 
-def isolation_inverter(v_in: float, levels: VoltageLevels) -> float:
-    """Output-restoring inverter; its switching point sits below v_dd / 2 so the
-    equalization mid level reads as a quiet low output."""
-    v_il = levels.v_dd / 4.0
-    return levels.v_high if v_in < v_il else 0.0
+def isolation_inverter(v_in, levels: VoltageLevels):
+    """Output-restoring inverter, on one voltage or an array of them; its
+    switching point sits below v_dd / 2 so the equalization mid level reads as
+    a quiet low output."""
+    # [()] turns the 0-d result for a single voltage into a scalar
+    return np.where(v_in < levels.v_dd / 4.0, levels.v_high, 0.0)[()]
 
 
 def simulate(
@@ -103,65 +104,63 @@ def simulate(
     t_eval = clock.period - t_eq
 
     # per-cycle steady-state decision and settling
-    decisions = []
+    ca_wins, cycle_flags = [], []
     for vec in input_sequence:
         bc = branch_currents(config, vec)
-        out = evaluate(config, vec)
         ts = settle_time(bc.i_in - bc.i_th, params, lv)
-        resolved = ts is not None and ts <= t_eval
-        decisions.append((out, resolved))
+        ca_wins.append(evaluate(config, vec).ca == 1)
+        cycle_flags.append(ts is not None and ts <= t_eval)
 
+    # every sample at once: its cycle c and its offset into that cycle
     n_samples = int(round(clock.n_cycles * clock.period / clock.sample_dt))
     time = np.arange(n_samples) * clock.sample_dt
-    n = config.n
-    clk = np.empty(n_samples)
-    inputs = np.empty((n, n_samples))
-    ca = np.empty(n_samples)
-    co = np.empty(n_samples)
-    resolved_col = np.empty(n_samples, dtype=np.int8)
-    cycle_flags = tuple(r for _, r in decisions)
-
-    for k in range(n_samples):
-        t = time[k]
-        c = min(int(t / clock.period), clock.n_cycles - 1)
-        offset = t - c * clock.period
-        vec = input_sequence[c]
-        out, resolved = decisions[c]
-        for i in range(n):
-            inputs[i, k] = lv.v_low if vec[i] else lv.v_high  # active low
-        resolved_col[k] = 1 if resolved else 0
-        if offset < t_eq:  # equalization: nodes shunted together
-            clk[k] = lv.v_high
-            ca[k] = v_mid
-            co[k] = v_mid
-        else:
-            clk[k] = lv.v_low
-            te = offset - t_eq
-            if not resolved:
-                ca[k] = v_mid
-                co[k] = v_mid
-            else:
-                swing = v_mid * math.exp(-te / params.tau)
-                win = lv.v_dd - swing
-                lose = swing
-                if out.ca == 1:
-                    ca[k], co[k] = win, lose
-                else:
-                    ca[k], co[k] = lose, win
-
-    cabar = np.array([isolation_inverter(v, lv) for v in ca])
-    cobar = np.array([isolation_inverter(v, lv) for v in co])
+    c = np.minimum((time / clock.period).astype(np.int64), clock.n_cycles - 1)
+    offset = time - c * clock.period
+    eq = offset < t_eq  # equalization: nodes shunted together
+    resolved = np.array(cycle_flags)[c]
+    # te >= 0 keeps equalization samples from overflowing the exponential;
+    # math.exp because np.exp can round the last bit differently
+    te = np.maximum(offset - t_eq, 0.0)
+    decay = np.fromiter(map(math.exp, (-te / params.tau).tolist()), float, n_samples)
+    swing = v_mid * decay
+    win = lv.v_dd - swing
+    ramp = ~eq & resolved
+    ca_high = np.array(ca_wins)[c]
+    ca = np.where(ramp, np.where(ca_high, win, swing), v_mid)
+    co = np.where(ramp, np.where(ca_high, swing, win), v_mid)
+    bits = np.array(input_sequence, dtype=bool).T  # (n, cycles)
     return WaveformTrace(
         time=time,
-        clk=clk,
-        inputs=inputs,
+        clk=np.where(eq, lv.v_high, lv.v_low),
+        inputs=np.where(bits[:, c], lv.v_low, lv.v_high),  # active low
         ca=ca,
         co=co,
-        cabar=cabar,
-        cobar=cobar,
-        resolved=resolved_col,
-        cycle_resolved=cycle_flags,
+        cabar=isolation_inverter(ca, lv),
+        cobar=isolation_inverter(co, lv),
+        resolved=resolved.astype(np.int8),
+        cycle_resolved=tuple(cycle_flags),
     )
+
+
+_BLOCK_ROWS = 4096  # rows formatted and written per block
+
+
+def write_rows(fh, columns) -> None:
+    """Write equal-length numeric columns as CSV rows, every value as %.9g.
+
+    Rows go out in blocks of a fixed size. Within a block each distinct value
+    of a column (by bit pattern, so -0.0 and 0.0 stay apart) is formatted once.
+    """
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        cells = []
+        for col in columns:
+            values, index = np.unique(
+                col[start:start + _BLOCK_ROWS].view(np.int64), return_inverse=True
+            )
+            text = [f"{v:.9g}" for v in values.view(float).tolist()]
+            cells.append(map(text.__getitem__, index.tolist()))
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_csv(trace: WaveformTrace, fh) -> None:
@@ -171,9 +170,5 @@ def write_csv(trace: WaveformTrace, fh) -> None:
     cols += [f"in{i + 1}_v" for i in range(n)]
     cols += ["ca_v", "co_v", "cabar_v", "cobar_v", "resolved"]
     fh.write(",".join(cols) + "\n")
-    for k in range(len(trace.time)):
-        row = [trace.time[k], trace.clk[k]]
-        row += [trace.inputs[i, k] for i in range(n)]
-        row += [trace.ca[k], trace.co[k], trace.cabar[k], trace.cobar[k]]
-        fh.write(",".join(f"{v:.9g}" for v in row))
-        fh.write(f",{int(trace.resolved[k])}\n")
+    write_rows(fh, [trace.time, trace.clk, *trace.inputs, trace.ca, trace.co,
+                    trace.cabar, trace.cobar, trace.resolved])

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from mtlg.cli import main
@@ -217,9 +219,57 @@ class TestConfigFile:
                          "--weights", "10k;20k", "--input", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["transient: {tau_s: [1e-7\n", "a: b: c\n",
+                                      "device:\n  - x\n - y\n"])
+    def test_malformed_yaml_exit_2(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "eval", "--config", str(cfg),
+                             "--weights", "10k;20k", "--input", "1")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {cfg}: ")
+
     def test_tie_rule_flag(self, capsys):
         code, out, _ = run(capsys, "eval", "--weights", "2M;2M", "--input", "1",
                            "--tie-rule", "threshold_wins")
         assert code == 0 and "CA=0" in out
         code, out, _ = run(capsys, "eval", "--weights", "2M;2M", "--input", "1")
         assert code == 0 and "CA=1" in out
+
+
+class TestGoldenCsv:
+    """SHA-256 of the stdout of fixed wave and boundary runs, recorded before
+    the sampler and the CSV writers worked on arrays."""
+
+    CASES = {
+        "wave_n1": (["wave", "--weights", "50k;60k", "--inputs", "1,0,1,1,0"],
+                    "429867df6f7c3cef93e8469818b05aa70e09e370317d1584f0a571a36a00cb7d"),
+        "wave_n3": (["wave", "--weights", "60k,45k,30k;40k",
+                     "--inputs", "000,001,010,011,100,101,110,111"],
+                    "2262b3310bae206d5a0b636d592467fcad778608f56b81ee34e0e650418f6e58"),
+        "wave_n4": (["wave", "--weights", "100k,50k,33k,25k;20k",
+                     "--tie-rule", "threshold_wins",
+                     "--inputs", "0000,1111,0101,1010,0011,1100"],
+                    "a36875ff431fa51a8d890c55ad6888dde75a8bc5797394b190bcbffb499bd5ef"),
+        "wave_slow_latch": (["wave", "--config", "{config}",
+                             "--weights", "60.5k,60k;33k", "--inputs", "00,01,10,11"],
+                            "0d8c5692f2f516d36b5d0607294a5829dad2b747e683d9f4c587a830b7280447"),
+        "wave_tie": (["wave", "--weights", "3M,3M;3M", "--inputs", "10,11,00,01"],
+                     "cce6276a4cbd3b656c0a272bf3ae54f163f5b4df7d932e12e8c55b035359a3fe"),
+        "boundary_n2_res2": (["boundary", "--weights", "3M,3M;2.5M", "--res", "2"],
+                             "82699a0fd47f301da63481f106f12e46ffbc45e1b06dafcffda01f38965f91b2"),
+        "boundary_n2_res201": (["boundary", "--weights", "3M,3M;4M",
+                                "--tie-rule", "threshold_wins", "--res", "201"],
+                               "a140002f2050727941e9f71b9bfbe32633cc6a950e53313e2b13fcae3ef7f5ef"),
+        "boundary_n3_res41": (["boundary", "--weights", "60k,45k,30k;40k", "--res", "41"],
+                              "50b5a44f24c376c5f01030aa1595d178861da7d721838140ab8f002833e9725a"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_stdout_digest(self, capsys, tmp_path, name):
+        argv, digest = self.CASES[name]
+        config = tmp_path / "slow_latch.yaml"
+        config.write_text("transient: {tau_s: 2e-5}\n")
+        code, out, err = run(capsys, *(a.replace("{config}", str(config)) for a in argv))
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mtlg.gate import GateConfig, VoltageLevels, branch_currents, evaluate
+from mtlg.gate import GateConfig, TieRule, VoltageLevels, branch_currents, evaluate
 from mtlg.transient import (
     ClockSpec,
     TransientParams,
@@ -12,7 +12,9 @@ from mtlg.transient import (
     settle_time,
     simulate,
     write_csv,
+    write_rows,
 )
+from oracles import reference_simulate
 
 AND_HW = GateConfig((60.5e3, 60e3), (33e3,))
 LEVELS = VoltageLevels()
@@ -105,7 +107,82 @@ class TestSimulate:
         assert len(set(times)) == len(times)
 
 
+class TestReferenceSampler:
+    """simulate equals the one-sample-at-a-time loop in oracles bit for bit."""
+
+    FIELDS = ("time", "clk", "inputs", "ca", "co", "cabar", "cobar", "resolved")
+
+    @classmethod
+    def assert_same(cls, config, seq, clock=None, params=None):
+        got = simulate(config, seq, clock, params)
+        want = reference_simulate(config, seq, clock, params)
+        for name in cls.FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.cycle_resolved == want.cycle_resolved
+        return got
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_gates_clocks_and_latches(self, seed):
+        # n = 1..5 under both tie rules: seeds 0..9 cover all ten pairs
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 5
+        rule = (TieRule.INPUT_WINS, TieRule.THRESHOLD_WINS)[seed % 2]
+        gate = GateConfig(tuple(rng.uniform(10e3, 200e3, n)),
+                          tuple(rng.uniform(10e3, 200e3, rng.integers(1, 3))),
+                          tie_rule=rule)
+        cycles = int(rng.integers(1, 7))
+        seq = [tuple(rng.integers(0, 2, n)) for _ in range(cycles)]
+        period = rng.uniform(1e-4, 5e-3)
+        clock = ClockSpec(period=period, duty_eq=rng.uniform(0.1, 0.9),
+                          n_cycles=cycles, sample_dt=period / rng.uniform(20, 250))
+        # tau up to 100 us keeps the ramp from underflowing to 0, so a decay
+        # computed one ulp off shows in ca and co
+        params = TransientParams(tau=10 ** rng.uniform(-7, -4),
+                                 r_sense=10 ** rng.uniform(2, 4))
+        self.assert_same(gate, seq, clock, params)
+
+    @pytest.mark.parametrize("rule", list(TieRule))
+    def test_tie_cycles_stay_unresolved(self, rule):
+        gate = GateConfig((3e6, 3e6, 1.5e6), (1.5e6,), tie_rule=rule)
+        seq = [(1, 1, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1)]
+        tr = self.assert_same(gate, seq, params=TransientParams(tau=5e-6))
+        assert tr.cycle_resolved == (False, True, False, True)
+
+    def test_slow_latch_misses_the_evaluation_window(self):
+        # at 1 ohm transimpedance the 11 row settles in ~1.2 ms > t_eval = 1 ms
+        params = TransientParams(tau=1e-4, r_sense=1.0)
+        tr = self.assert_same(AND_HW, [(0, 0), (1, 1)], params=params)
+        assert tr.cycle_resolved == (True, False)
+
+
+class TestWriteRows:
+    def test_matches_per_value_formatting_across_blocks(self):
+        rng = np.random.default_rng(3)
+        rows = 10_000
+        cols = [
+            rng.normal(size=rows) * 10.0 ** rng.integers(-30, 30, rows),
+            np.tile([0.0, -0.0, 1e-300, np.inf, np.nan], rows // 5),
+            rng.integers(0, 2, rows).astype(np.int8),
+        ]
+        buf = io.StringIO()
+        write_rows(buf, cols)
+        want = "".join(",".join(f"{float(v):.9g}" for v in row) + "\n"
+                       for row in zip(*cols))
+        assert buf.getvalue() == want
+
+    def test_no_rows_writes_nothing(self):
+        buf = io.StringIO()
+        write_rows(buf, [np.empty(0), np.empty(0)])
+        assert buf.getvalue() == ""
+
+
 class TestIsolationInverter:
+    def test_accepts_arrays(self):
+        v = np.array([0.0, LEVELS.v_dd / 4, LEVELS.v_dd / 2, -1e-3])
+        out = isolation_inverter(v, LEVELS)
+        assert np.array_equal(out, [LEVELS.v_high, 0.0, 0.0, LEVELS.v_high])
+
     def test_mid_level_reads_low(self):
         assert isolation_inverter(LEVELS.v_dd / 2, LEVELS) == 0.0
 
