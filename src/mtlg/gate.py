@@ -318,7 +318,9 @@ def boundary_grid(config: GateConfig, resolution: int) -> BoundaryMap:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     g, g_t = decision_hyperplane(config)
     axes = tuple(np.linspace(0.0, 1.0, resolution) for _ in range(config.n))
-    mesh = np.meshgrid(*axes, indexing="ij")
+    # sparse axes broadcast to the full grid in the sum, which adds the same
+    # products in the same order as a dense mesh would
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     lhs = sum(gi * a for gi, a in zip(g, mesh))
     grid = decide(lhs, g_t, config.tie_rule)
     return BoundaryMap(axes=axes, grid=grid, conductances=g, g_threshold=g_t)

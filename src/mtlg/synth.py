@@ -5,12 +5,16 @@ conductance normalized to 1, the minimum relative current margin over all
 truth-table rows is a linear objective. A pair of auxiliary min/max variables
 keeps the conductance spread inside the device's programmable ratio so the
 normalized solution can always be rescaled onto the physical range.
+`synthesize` solves that ratio-bounded program only, and solves the
+unbounded one of `check_separability` as well only when the bounded margin
+falls short of the requirement, to tell an unseparable target from a
+device-range failure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -58,20 +62,20 @@ class SynthesisResult:
     infeasibility_witness: tuple | None = None
 
 
-def _monotone_witness(tt: TruthTable):
-    """Pair (x, y) with x <= y bitwise, f(x) = 1 and f(y) = 0, or None."""
+def _witness(tt: TruthTable):
+    """Inputs that no positive-weight gate can realize: the zero vector when
+    f(0...0) = 1, else the first pair (x, y) with x <= y bitwise, f(x) = 1 and
+    f(y) = 0 (y ascending, then the cleared bit from the LSB), else None."""
     n = tt.n
-    for k in range(2 ** n):
-        if tt.outputs[k] != 0:
-            continue
-        for i in range(n):
-            mask = 1 << i
-            if not (k & mask):
-                continue
-            low = k & ~mask
-            if tt.outputs[low] == 1:
-                return (bits_of_index(low, n), bits_of_index(k, n))
-    return None
+    if tt.outputs[0] == 1:
+        return (bits_of_index(0, n),)
+    outs = np.array(tt.outputs)
+    low = np.arange(2 ** n)[:, None] & ~(1 << np.arange(n))  # y with bit i cleared
+    viol = outs[:, None] < outs[low]
+    if not viol.any():
+        return None
+    y, i = divmod(int(viol.argmax()), n)
+    return (bits_of_index(y & ~(1 << i), n), bits_of_index(y, n))
 
 
 def _margin_lp(tt: TruthTable, ratio: float | None):
@@ -82,38 +86,24 @@ def _margin_lp(tt: TruthTable, ratio: float | None):
     device conductance box. Returns (margin, conductances) or (None, None).
     """
     n = tt.n
-    nv = n + 3
+    rows = 2 ** n
     i_m, i_mn, i_mx = n, n + 1, n + 2
-    a_ub, b_ub = [], []
-    for k in range(2 ** n):
-        bits = bits_of_index(k, n)
-        row = [0.0] * nv
-        for i, b in enumerate(bits):
-            row[i] = -1.0 if b else 0.0
-        row[i_m] = 1.0
-        if tt.outputs[k] == 1:
-            # sum(g) >= 1 + m  ->  -sum(g) + m <= -1
-            a_ub.append(row)
-            b_ub.append(-1.0)
-        else:
-            # sum(g) <= 1 - m  ->  sum(g) + m <= 1
-            a_ub.append([-x if i < n else x for i, x in enumerate(row)])
-            b_ub.append(1.0)
-    for i in range(n):
-        lo = [0.0] * nv
-        lo[i_mn], lo[i] = 1.0, -1.0  # mn <= g_i
-        a_ub.append(lo)
-        b_ub.append(0.0)
-        hi = [0.0] * nv
-        hi[i], hi[i_mx] = 1.0, -1.0  # g_i <= mx
-        a_ub.append(hi)
-        b_ub.append(0.0)
+    # one row per table row: sum(g) >= 1 + m for a 1 (-sum(g) + m <= -1),
+    # sum(g) <= 1 - m for a 0 (sum(g) + m <= 1)
+    sign = np.where(np.array(tt.outputs) == 1, -1.0, 1.0)
+    bits = (np.arange(rows)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # x1 = MSB
+    a_ub = np.zeros((rows + 2 * n + (ratio is not None), n + 3))
+    a_ub[:rows, :n] = sign[:, None] * bits
+    a_ub[:rows, i_m] = 1.0
+    i = np.arange(n)
+    lo = rows + 2 * i  # then a row pair per g_i: mn <= g_i, g_i <= mx
+    a_ub[lo, i], a_ub[lo, i_mn] = -1.0, 1.0
+    a_ub[lo + 1, i], a_ub[lo + 1, i_mx] = 1.0, -1.0
     if ratio is not None:
-        row = [0.0] * nv
-        row[i_mx], row[i_mn] = 1.0, -ratio  # mx <= ratio * mn
-        a_ub.append(row)
-        b_ub.append(0.0)
-    c = [0.0] * nv
+        a_ub[-1, i_mx], a_ub[-1, i_mn] = 1.0, -ratio  # mx <= ratio * mn
+    b_ub = np.zeros(len(a_ub))
+    b_ub[:rows] = sign
+    c = np.zeros(n + 3)
     c[i_m] = -1.0
     bounds = [(1e-12, None)] * n + [(None, None), (1e-12, 1.0), (1.0, None)]
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
@@ -132,9 +122,7 @@ def check_separability(tt: TruthTable):
     """
     if tt.n > 10:
         raise ValueError(f"separability check limited to n <= 10, got {tt.n}")
-    if tt.outputs[0] == 1:
-        return False, (bits_of_index(0, tt.n),)
-    w = _monotone_witness(tt)
+    w = _witness(tt)
     if w is not None:
         return False, w
     margin, g = _margin_lp(tt, ratio=None)
@@ -148,14 +136,20 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
     tt = spec.target
     if tt.n > 10:
         raise ValueError(f"synthesis limited to n <= 10, got {tt.n}")
-    feasible, witness = check_separability(tt)
-    if not feasible:
+    witness = _witness(tt)
+    if witness is not None:
         return SynthesisResult(feasible=False, infeasibility_witness=witness)
 
     dev = spec.device
     ratio = dev.r_max / dev.r_min
     margin, g_norm = _margin_lp(tt, ratio=ratio)
     required = max(spec.min_margin_rel, _STRICT_EPS)
+    # the ratio-bounded LP restricts the unbounded one, so a bounded margin at
+    # the requirement and above _STRICT_EPS already proves separability
+    if margin is None or margin < required or margin <= _STRICT_EPS:
+        feasible, witness = check_separability(tt)
+        if not feasible:
+            return SynthesisResult(feasible=False, infeasibility_witness=witness)
     if margin is None or margin < required:
         raise DeviceRangeError(
             f"achievable margin {0.0 if margin is None else margin:.4g} below "
@@ -206,39 +200,36 @@ class VerifyReport:
 def verify_config(
     config: GateConfig, target: TruthTable, tie_rule: TieRule | None = None
 ) -> VerifyReport:
-    """Exact-rational re-evaluation of a config against a target table.
+    """Exact re-evaluation of a config against a target table.
 
-    Independent of the float evaluation path: conductance sums are compared
-    with Fraction arithmetic, using the same relative tie band.
+    Independent of the float evaluation path: every conductance is scaled
+    exactly onto a common integer scale (the lcm of the memristances'
+    numerators), so sums, the relative tie band and the comparisons are all
+    integer arithmetic. Each margin is the correctly rounded quotient of two
+    integers.
     """
     if config.n != target.n:
         raise ValueError(f"config has {config.n} inputs, target has {target.n}")
     rule = tie_rule or config.tie_rule
-    eps = Fraction(1, 10 ** 9)
-    g = [1 / Fraction(m) for m in config.input_memristances]
-    g_t = sum(1 / Fraction(m) for m in config.threshold_memristances)
-    margins = []
-    first_fail = None
-    ok = True
-    for k in range(2 ** target.n):
-        bits = bits_of_index(k, target.n)
-        s = sum(gi for gi, b in zip(g, bits) if b)
-        tie = abs(s - g_t) <= eps * max(s, g_t)
-        if tie:
-            ca = 1 if rule is TieRule.INPUT_WINS else 0
-        else:
-            ca = 1 if s > g_t else 0
-        margins.append(float((s - g_t) / g_t))
-        if ca != target.outputs[k]:
-            ok = False
-            if first_fail is None:
-                first_fail = k
-    worst = min(abs(m) for m in margins)
+    ratios = [m.as_integer_ratio() for m in
+              config.input_memristances + config.threshold_memristances]
+    scale = math.lcm(*(num for num, _ in ratios))
+    g = [scale // num * den for num, den in ratios]  # scale / m, exactly
+    g_t = sum(g[config.n:])
+    sums = [0]  # input conductance sum of every row, x1 the MSB of the index
+    for gi in g[:config.n]:
+        sums = [s + b for s in sums for b in (0, gi)]
+    tie_ca = 1 if rule is TieRule.INPUT_WINS else 0
+    # relative tie band 1e-9: |s - g_t| <= max(s, g_t) / 10**9
+    ca = [tie_ca if 10 ** 9 * abs(s - g_t) <= max(s, g_t) else int(s > g_t)
+          for s in sums]
+    margins = tuple((s - g_t) / g_t for s in sums)
+    fails = [k for k, (c, o) in enumerate(zip(ca, target.outputs)) if c != o]
     return VerifyReport(
-        ok=ok,
-        row_margins=tuple(margins),
-        worst_margin=worst,
-        first_failure_row=first_fail,
+        ok=not fails,
+        row_margins=margins,
+        worst_margin=min(map(abs, margins)),
+        first_failure_row=fails[0] if fails else None,
     )
 
 

@@ -114,7 +114,8 @@ def simulate(
     # every sample at once: its cycle c and its offset into that cycle
     n_samples = int(round(clock.n_cycles * clock.period / clock.sample_dt))
     time = np.arange(n_samples) * clock.sample_dt
-    c = np.minimum((time / clock.period).astype(np.int64), clock.n_cycles - 1)
+    # below n_cycles, since every sample has t <= n_cycles * period - dt / 2
+    c = (time / clock.period).astype(np.int64)
     offset = time - c * clock.period
     eq = offset < t_eq  # equalization: nodes shunted together
     resolved = np.array(cycle_flags)[c]

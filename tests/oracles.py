@@ -7,6 +7,11 @@ principles with Fractions.
 ``reference_simulate`` checks the array sampler in ``mtlg.transient``. It takes
 the per-cycle decisions from the package and fills every sample in a plain
 loop, one sample at a time.
+
+``reference_verify_config`` checks the integer ``mtlg.synth.verify_config``. It
+adds the conductances of each row as Fractions, one row at a time.
+``reference_witness`` checks the array search for an infeasibility witness in
+``mtlg.synth`` with a loop over rows and bits.
 """
 
 import math
@@ -14,7 +19,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from mtlg.gate import GateConfig, VoltageLevels, branch_currents, evaluate
+from mtlg.gate import (
+    GateConfig,
+    TieRule,
+    TruthTable,
+    VoltageLevels,
+    bits_of_index,
+    branch_currents,
+    evaluate,
+)
+from mtlg.synth import VerifyReport
 from mtlg.transient import ClockSpec, TransientParams, WaveformTrace, settle_time
 
 TIE_EPS = Fraction(1, 10 ** 9)
@@ -132,3 +146,60 @@ def reference_simulate(
         resolved=resolved_col,
         cycle_resolved=cycle_flags,
     )
+
+
+def reference_verify_config(
+    config: GateConfig, target: TruthTable, tie_rule: TieRule | None = None
+) -> VerifyReport:
+    """synth.verify_config with Fraction sums, one row at a time: exact-rational
+    re-evaluation of a config against a target table, using the same relative
+    tie band."""
+    if config.n != target.n:
+        raise ValueError(f"config has {config.n} inputs, target has {target.n}")
+    rule = tie_rule or config.tie_rule
+    eps = Fraction(1, 10 ** 9)
+    g = [1 / Fraction(m) for m in config.input_memristances]
+    g_t = sum(1 / Fraction(m) for m in config.threshold_memristances)
+    margins = []
+    first_fail = None
+    ok = True
+    for k in range(2 ** target.n):
+        bits = bits_of_index(k, target.n)
+        s = sum(gi for gi, b in zip(g, bits) if b)
+        tie = abs(s - g_t) <= eps * max(s, g_t)
+        if tie:
+            ca = 1 if rule is TieRule.INPUT_WINS else 0
+        else:
+            ca = 1 if s > g_t else 0
+        margins.append(float((s - g_t) / g_t))
+        if ca != target.outputs[k]:
+            ok = False
+            if first_fail is None:
+                first_fail = k
+    worst = min(abs(m) for m in margins)
+    return VerifyReport(
+        ok=ok,
+        row_margins=tuple(margins),
+        worst_margin=worst,
+        first_failure_row=first_fail,
+    )
+
+
+def reference_witness(tt: TruthTable):
+    """The witness check_separability returns before its LP: the zero input
+    vector if f(0...0) = 1, else the first pair (x, y) with x <= y bitwise,
+    f(x) = 1 and f(y) = 0, else None."""
+    n = tt.n
+    if tt.outputs[0] == 1:
+        return (bits_of_index(0, n),)
+    for k in range(2 ** n):
+        if tt.outputs[k] != 0:
+            continue
+        for i in range(n):
+            mask = 1 << i
+            if not (k & mask):
+                continue
+            low = k & ~mask
+            if tt.outputs[low] == 1:
+                return (bits_of_index(low, n), bits_of_index(k, n))
+    return None

@@ -189,6 +189,49 @@ class TestSynth:
         assert code == 0 and "(verified)" in out
 
 
+class TestGoldenSynth:
+    """Exit code and SHA-256 of the stdout and stderr of fixed synth runs,
+    recorded while synthesize solved the unbounded LP on every target and
+    verify_config added Fractions."""
+
+    CASES = {
+        "maj5_n10": (["synth", "--target", "MAJ:5", "--n", "10"], 0,
+                     "5bfc74c304c486acc70a6b8938f98f5b6f3eccf86a71de09c1cc526913f4cc2c",
+                     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "maj8_n10_quantized_fails": (
+            ["synth", "--target", "MAJ:8", "--n", "10"], 0,
+            "b1dba5ba6eab9f52cc34487ef73adfab403a49fc1eb91c7f420e35d8d070ab0b",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "and_n10": (["synth", "--target", "AND", "--n", "10"], 0,
+                    "5ab99a4ea865c3e99a5472f48e6a7973ece5990d4f313803a0d2e80dd27eab93",
+                    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        # [3 x1 + 2 x2 + x3 + x4 >= 3]
+        "weighted_bitstring": (
+            ["synth", "--target", "1111111111100000", "--tie-rule", "threshold_wins"], 0,
+            "83b690f491beb7bd201c194968ca71f67387ae76580c01ff846a284e243a8f9d",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "xor_n3_witness": (["synth", "--target", "XOR", "--n", "3"], 3,
+                           "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                           "df552492ddbc039333b3369e0e45508f2873e81a9cd399cf5a1c7695ff5bf92f"),
+        # x1x2 v x3x4: monotone, so there is no witness
+        "monotone_unseparable": (
+            ["synth", "--target", "1111100010001000"], 3,
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "e14dfe4d23c838174c3358959a9575759dc5d0072c8dc0417fdef3d6384fa3fa"),
+        "device_range": (["synth", "--target", "MAJ:5", "--n", "10", "--margin", "0.5"], 3,
+                         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                         "a3914ad1fb54dbaf8d9470c0f6d1bc7ad8b60aedd74e2916b860c4ad0466573f"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_output_digest(self, capsys, name):
+        argv, code, out_digest, err_digest = self.CASES[name]
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+        assert hashlib.sha256(err.encode()).hexdigest() == err_digest
+
+
 class TestProgram:
     def test_reports_pulses_and_resistance(self, capsys):
         code, out, _ = run(capsys, "program", "--target", "33k")

@@ -1,7 +1,12 @@
 import itertools
+import math
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mtlg import synth
 from mtlg.device import DeviceModel
 from mtlg.gate import GateConfig, TieRule, TruthTable, bits_of_index, truth_table
 from mtlg.synth import (
@@ -13,7 +18,7 @@ from mtlg.synth import (
     verify,
     verify_config,
 )
-from oracles import exact_truth_table
+from oracles import exact_truth_table, reference_verify_config, reference_witness
 
 AND2 = TruthTable(2, (0, 0, 0, 1))
 OR2 = TruthTable(2, (0, 1, 1, 1))
@@ -42,6 +47,21 @@ class TestCheckSeparability:
         feasible, witness = check_separability(TruthTable(2, (1, 1, 1, 1)))
         assert not feasible
         assert witness == ((0, 0),)
+
+    def test_witness_matches_loop_reference(self):
+        rng = random.Random(5)
+        tables = [TruthTable(3, bits) for bits in itertools.product((0, 1), repeat=8)]
+        for _ in range(200):
+            # a threshold function with one row flipped: often monotone
+            n = rng.randint(1, 10)
+            w = [rng.randint(1, 4) for _ in range(n)]
+            t = rng.randint(1, sum(w))
+            outs = [int(sum(wi for wi, b in zip(w, bits_of_index(k, n)) if b) >= t)
+                    for k in range(2 ** n)]
+            outs[rng.randrange(2 ** n)] ^= 1
+            tables.append(TruthTable(n, outs))
+        for tt in tables:
+            assert synth._witness(tt) == reference_witness(tt)
 
     def test_fan_in_guard(self):
         with pytest.raises(ValueError):
@@ -125,6 +145,126 @@ class TestVerify:
         res = synthesize(SynthesisSpec(XOR2))
         with pytest.raises(ValueError):
             verify(res, XOR2)
+
+
+class TestSingleLp:
+    """synthesize solves the ratio-bounded LP and the unbounded one only when
+    the bounded margin leaves separability open."""
+
+    @pytest.fixture
+    def lp_ratios(self, monkeypatch):
+        ratios = []
+        margin_lp = synth._margin_lp
+
+        def counted(tt, ratio):
+            ratios.append(ratio)
+            return margin_lp(tt, ratio)
+
+        monkeypatch.setattr(synth, "_margin_lp", counted)
+        return ratios
+
+    @pytest.mark.parametrize("name,n", [("MAJ:3", 5), ("AND", 4), ("OR", 4),
+                                        ("DICT:2", 3)])
+    def test_feasible_target_solves_one_lp(self, lp_ratios, name, n):
+        tt, _ = named_truth_table(name, n)
+        assert synthesize(SynthesisSpec(tt)).feasible
+        assert lp_ratios == [10.0]
+
+    def test_monotone_unseparable_target_solves_both(self, lp_ratios):
+        # x1x2 v x3x4: monotone, so no witness, but not a threshold function
+        rows = [bits_of_index(k, 4) for k in range(16)]
+        tt = TruthTable(4, [int(b[0] and b[1] or b[2] and b[3]) for b in rows])
+        res = synthesize(SynthesisSpec(tt))
+        assert not res.feasible and res.infeasibility_witness is None
+        assert lp_ratios == [10.0, None]
+
+    def test_witness_target_solves_none(self, lp_ratios):
+        assert not synthesize(SynthesisSpec(XOR2)).feasible
+        assert lp_ratios == []
+
+    def test_device_range_error_solves_both(self, lp_ratios):
+        narrow = DeviceModel(r_min=50e3, r_max=100e3)
+        with pytest.raises(DeviceRangeError):
+            synthesize(SynthesisSpec(AND2, device=narrow, min_margin_rel=0.45))
+        assert lp_ratios == [2.0, None]
+
+
+def _report_fields(report):
+    """Every VerifyReport field, floats by bit pattern (-0.0 apart from 0.0)."""
+    return (report.ok, report.first_failure_row, report.worst_margin.hex(),
+            [m.hex() for m in report.row_margins])
+
+
+resistance = st.floats(min_value=1e3, max_value=1e7, allow_nan=False,
+                       allow_infinity=False)
+
+
+@st.composite
+def verify_cases(draw):
+    """(config, target, tie_rule override). The threshold conductance sits at an
+    input subset's sum: on it, 1e-9 +- 1e-10 or 1e-9 off it, or far off it,
+    then moved a few ulps; the target is the exact table with some rows
+    flipped."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    ms = draw(st.tuples(*[resistance] * n))
+    subset = set(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    g = sum(1 / Fraction(ms[i]) for i in subset)
+    shift = draw(st.sampled_from((0.0, 1e-9, -1e-9, 1.1e-9, -1.1e-9, 0.9e-9,
+                                  -0.9e-9, 0.25, -0.25)))
+    th = float(1 / (g * (1 + Fraction(shift))))
+    ulps = draw(st.integers(min_value=-4, max_value=4))
+    for _ in range(abs(ulps)):
+        th = math.nextafter(th, math.inf if ulps > 0 else 0.0)
+    ths = draw(st.sampled_from(((th,), (2 * th, 2 * th))))
+    tie = draw(st.sampled_from(list(TieRule)))
+    override = draw(st.sampled_from((None, *TieRule)))
+    rule = override or tie
+    outs = list(exact_truth_table(ms, ths, rule is TieRule.INPUT_WINS))
+    for k in draw(st.sets(st.integers(0, 2 ** n - 1), max_size=3)):
+        outs[k] = 1 - outs[k]
+    return GateConfig(ms, ths, tie_rule=tie), TruthTable(n, outs), override
+
+
+class TestVerifyConfigExact:
+    """verify_config in integers equals the row-by-row Fraction reference."""
+
+    @given(verify_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fraction_reference(self, case):
+        config, target, override = case
+        assert _report_fields(verify_config(config, target, override)) == \
+            _report_fields(reference_verify_config(config, target, override))
+
+    @pytest.mark.parametrize("override", [None, *TieRule])
+    @pytest.mark.parametrize("tie", list(TieRule))
+    @pytest.mark.parametrize("ms,ths", [
+        ((2e3, 2e3, 4e3, 4e3), (1e3,)),
+        ((3e3, 6e3, 2e3), (4e3, 4e3)),
+        ((12e3, 4e3, 6e3, 3e3, 12e3), (3e3,)),
+        ((7.0, 7.0, 7.0, 7.0, 7.0, 7.0, 7.0, 7.0), (1.0,)),
+    ])
+    def test_integer_ohms_with_exact_ties(self, ms, ths, tie, override):
+        config = GateConfig(ms, ths, tie_rule=tie)
+        rule = override or tie
+        for outs in (exact_truth_table(ms, ths, True), exact_truth_table(ms, ths, False)):
+            target = TruthTable(len(ms), outs)
+            report = verify_config(config, target, override)
+            assert 0.0 in report.row_margins  # an exact tie
+            assert report.ok == (outs == exact_truth_table(
+                ms, ths, rule is TieRule.INPUT_WINS))
+            assert _report_fields(report) == \
+                _report_fields(reference_verify_config(config, target, override))
+
+    @pytest.mark.parametrize("tie", list(TieRule))
+    @pytest.mark.parametrize("m_in,m_th", [(999_999_999.0, 1e9), (1e9, 999_999_999.0)])
+    def test_row_exactly_on_band_edge(self, m_in, m_th, tie):
+        # row 10 has 10**9 * |i_in - i_th| == max(i_in, i_th): the band holds
+        # its edge, so the tie rule decides that row
+        config = GateConfig((m_in, 3 * m_in), (m_th,), tie_rule=tie)
+        target = TruthTable(2, (0, 0, int(tie is TieRule.INPUT_WINS), 1))
+        report = verify_config(config, target)
+        assert report.ok
+        assert _report_fields(report) == _report_fields(reference_verify_config(config, target))
 
 
 class TestNamedTargets:
