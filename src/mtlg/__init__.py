@@ -3,7 +3,6 @@
 from .device import (
     DeviceModel,
     KOHM_PROFILE,
-    MOHM_PROFILE,
     MemristorState,
     ProgramResult,
     ProgramTimeoutError,
@@ -31,7 +30,6 @@ from .gate import (
     classify,
     decision_hyperplane,
     evaluate,
-    index_of_bits,
     truth_table,
 )
 from .netlist import (
@@ -51,7 +49,6 @@ from .synth import (
     check_separability,
     named_truth_table,
     synthesize,
-    verify,
     verify_config,
 )
 from .transient import (

@@ -8,7 +8,9 @@ diagnostics, unresolved evaluation).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,6 +18,7 @@ from . import device as dev_mod
 from . import files, netlist as net_mod, synth as synth_mod, transient as tr_mod
 from .gate import (
     GateConfig,
+    TieRule,
     boundary_grid,
     branch_currents,
     classify,
@@ -34,23 +37,24 @@ class ModelError(Exception):
 
 
 def _load_config(args) -> files.ProjectConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return files.load_project_config(args.config)
     return files.ProjectConfig()
 
 
+def _tie_rule(args, default) -> TieRule:
+    """--tie-rule if given, else the tie rule of `default` (a config or gate)."""
+    return files.parse_tie_rule(args.tie_rule) if args.tie_rule else default.tie_rule
+
+
 def _gate_from_args(args, cfg: files.ProjectConfig) -> GateConfig:
-    tie = files.parse_tie_rule(args.tie_rule) if args.tie_rule else cfg.tie_rule
-    if getattr(args, "gate_file", None):
+    if args.gate_file:
         gc = files.load_gate_config(args.gate_file, levels=cfg.levels)
-        if args.tie_rule:
-            gc = GateConfig(gc.input_memristances, gc.threshold_memristances,
-                            levels=gc.levels, tie_rule=tie)
-        return gc
+        return replace(gc, tie_rule=_tie_rule(args, gc))
     if not args.weights:
         raise files.ParseError("need --weights or --gate-file")
     ms, ths = files.parse_weights(args.weights)
-    return GateConfig(ms, ths, levels=cfg.levels, tie_rule=tie)
+    return GateConfig(ms, ths, levels=cfg.levels, tie_rule=_tie_rule(args, cfg))
 
 
 def _parse_bits(text: str, n: int | None = None) -> tuple[int, ...]:
@@ -65,8 +69,8 @@ def _parse_bits(text: str, n: int | None = None) -> tuple[int, ...]:
 
 def _open_out(path):
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w")
 
 
 def cmd_eval(args) -> int:
@@ -88,8 +92,8 @@ def _print_table(tt, prefix=""):
 def cmd_truth(args) -> int:
     cfg = _load_config(args)
     if args.netlist:
-        tie = files.parse_tie_rule(args.tie_rule) if args.tie_rule else cfg.tie_rule
-        net = files.parse_netlist_file(args.netlist, levels=cfg.levels, tie_rule=tie)
+        net = files.parse_netlist_file(args.netlist, levels=cfg.levels,
+                                       tie_rule=_tie_rule(args, cfg))
         tables = net_mod.network_truth_table(net)
         for (gname, tap), tt in zip(net.primary_outputs, tables):
             print(f"output {gname}.{tap}:")
@@ -105,8 +109,7 @@ def cmd_boundary(args) -> int:
     cfg = _load_config(args)
     gate = _gate_from_args(args, cfg)
     g, g_t = decision_hyperplane(gate)
-    fh, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as fh:
         coeffs = ",".join(f"{x:.9g}" for x in g)
         fh.write(f"# hyperplane: {coeffs},{g_t:.9g}\n")
         cls = classify(truth_table(gate))
@@ -124,9 +127,6 @@ def cmd_boundary(args) -> int:
             fh.write(",".join(f"a{i + 1}" for i in range(gate.n)) + ",class\n")
             coords = np.meshgrid(*bm.axes, indexing="ij")
             tr_mod.write_rows(fh, [a.ravel() for a in coords] + [bm.grid.ravel()])
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
@@ -136,24 +136,20 @@ def cmd_wave(args) -> int:
     seq = [_parse_bits(v, gate.n) for v in args.inputs.split(",")]
     clock = cfg.clock(n_cycles=len(seq))
     trace = tr_mod.simulate(gate, seq, clock, cfg.transient)
-    fh, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as fh:
         tr_mod.write_csv(trace, fh)
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args)
-    tie = files.parse_tie_rule(args.tie_rule) if args.tie_rule else cfg.tie_rule
+    tie = _tie_rule(args, cfg)
     tap = "CA"
     target = args.target.strip()
     try:
         if set(target) <= {"0", "1"} and len(target) >= 2:
             tt = synth_mod.TruthTable.from_bitstring(target, args.n)
-        elif not args.n:
+        elif args.n is None:
             raise files.ParseError("named targets need --n")
         else:
             tt, tap = synth_mod.named_truth_table(target, args.n)
@@ -197,13 +193,10 @@ def cmd_program(args) -> int:
     target = files.parse_resistance(args.target)
     start = files.parse_resistance(args.start) if args.start else model.r_max
     rng = np.random.default_rng(cfg.seed) if model.noise_sigma_rel > 0 else None
-    try:
-        state = dev_mod.MemristorState(resistance=start, model=model)
-        result = dev_mod.program_to_target(
-            state, target, tol_rel=args.tol, max_pulses=args.max_pulses, rng=rng
-        )
-    except (ValueError, dev_mod.ProgramTimeoutError) as e:
-        raise ModelError(str(e)) from None
+    state = dev_mod.MemristorState(resistance=start, model=model)
+    result = dev_mod.program_to_target(
+        state, target, tol_rel=args.tol, max_pulses=args.max_pulses, rng=rng
+    )
     level, level_r = dev_mod.quantize(result.state.resistance, model)
     print(f"pulses={result.pulses} final_resistance_ohm={result.state.resistance:.6g} "
           f"nearest_level={level} level_resistance_ohm={level_r:.6g}")
@@ -284,7 +277,8 @@ def main(argv=None) -> int:
     except (files.ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ModelError, ValueError, net_mod.NetlistError, synth_mod.DeviceRangeError) as e:
+    except (ModelError, ValueError, net_mod.NetlistError, synth_mod.DeviceRangeError,
+            dev_mod.ProgramTimeoutError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MODEL
 

@@ -58,10 +58,8 @@ class DeviceModel:
         return 2 ** self.bits
 
 
-# Named profiles: the kOhm range covers the hardware configurations, the MOhm
-# range matches the high-resistance emulator sweeps.
+# Named profile: the kOhm range covers the hardware configurations.
 KOHM_PROFILE = DeviceModel()
-MOHM_PROFILE = DeviceModel(r_min=1e6, r_max=10e6)
 
 
 @dataclass(frozen=True)

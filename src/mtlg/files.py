@@ -1,11 +1,15 @@
 """Config, gate and netlist file formats, plus resistance unit parsing.
 
-All files are YAML mappings. Unknown keys are hard errors so a typo in a
-weight list cannot silently fall back to a default.
+All files are YAML mappings, read section by section through `_mapping` and
+`_sequence`: a section that is not a mapping, a list that is not a list and
+an unknown key are hard errors, so a typo in a weight list cannot silently
+fall back to a default. YAML resistances go through `parse_resistance`, as
+`--weights` does.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -31,8 +35,8 @@ def parse_resistance(text: str) -> float:
     if not m:
         raise ParseError(f"cannot parse resistance {text!r}")
     value = float(m.group(1)) * _SUFFIXES.get(m.group(2), 1.0)
-    if value <= 0:
-        raise ParseError(f"resistance must be positive, got {text!r}")
+    if not 0 < value < math.inf:
+        raise ParseError(f"resistance must be positive and finite, got {text!r}")
     return value
 
 
@@ -44,7 +48,6 @@ def parse_weights(text: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
             f"thresholds: {text!r}"
         )
     left, right = text.split(";")
-    pos = 0
 
     def parse_list(chunk, offset):
         out = []
@@ -84,88 +87,95 @@ class ProjectConfig:
         )
 
 
-_INT_FIELDS = {"bits"}
+# section -> (constructor, or None for ProjectConfig's own fields;
+#             file key -> field name)
+_SECTIONS = {
+    "device": (DeviceModel, {
+        "r_min_ohm": "r_min",
+        "r_max_ohm": "r_max",
+        "bits": "bits",
+        "v_prog_threshold_v": "v_prog_threshold",
+        "step_fraction": "step_fraction",
+        "noise_sigma_rel": "noise_sigma_rel",
+        "seed": "seed",  # a ProjectConfig field, taken out before DeviceModel
+    }),
+    "levels": (VoltageLevels, {"v_dd_v": "v_dd", "v_high_v": "v_high", "v_low_v": "v_low"}),
+    "transient": (TransientParams, {
+        "tau_s": "tau",
+        "r_sense_ohm": "r_sense",
+        "v_meta_floor_v": "v_meta_floor",
+    }),
+    "clock": (None, {"period_s": "clock_period", "duty_eq": "clock_duty_eq",
+                     "sample_dt_s": "clock_sample_dt"}),
+}
+_INT_FIELDS = {"bits", "seed"}
 
 
-def _take(mapping: dict, section: str, known: dict) -> dict:
-    """Map file keys onto constructor kwargs, rejecting unknown keys.
-
-    Values are coerced to numbers (YAML 1.1 reads '1.0e6' as a string)."""
-    out = {}
-    for key, value in mapping.items():
+def _mapping(value, where, known) -> dict:
+    """A YAML section: empty reads as {}, anything but a mapping of known keys
+    is a ParseError."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: expected a mapping, got {type(value).__name__}")
+    for key in value:
         if key not in known:
-            raise ParseError(f"unknown key {key!r} in section {section!r}")
-        field_name = known[key]
-        try:
-            value = int(value) if field_name in _INT_FIELDS else float(value)
-        except (TypeError, ValueError):
-            raise ParseError(f"{section}.{key}: expected a number, got {value!r}") from None
-        out[field_name] = value
-    return out
+            raise ParseError(f"{where}: unknown key {key!r}")
+    return value
 
 
-_DEVICE_KEYS = {
-    "r_min_ohm": "r_min",
-    "r_max_ohm": "r_max",
-    "bits": "bits",
-    "v_prog_threshold_v": "v_prog_threshold",
-    "step_fraction": "step_fraction",
-    "noise_sigma_rel": "noise_sigma_rel",
-}
-_LEVEL_KEYS = {"v_dd_v": "v_dd", "v_high_v": "v_high", "v_low_v": "v_low"}
-_TRANSIENT_KEYS = {
-    "tau_s": "tau",
-    "r_sense_ohm": "r_sense",
-    "v_meta_floor_v": "v_meta_floor",
-}
-_CLOCK_KEYS = {"period_s": "clock_period", "duty_eq": "clock_duty_eq",
-               "sample_dt_s": "clock_sample_dt"}
+def _sequence(value, where) -> list:
+    """A YAML list: empty reads as [], anything but a list is a ParseError."""
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
 
 
-def _load_yaml(path) -> dict:
+def _number(value, where, kind=float):
+    """kind(value) for a numeric field. Strings are accepted (YAML 1.1 reads
+    '1.0e6' as one); an int field rejects a float with a fractional part."""
+    try:
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ParseError(f"{where}: expected {what}, got {value!r}") from None
+
+
+def _load_yaml(path, known) -> dict:
     with open(path) as fh:
         try:
             data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as e:
             raise ParseError(f"{path}: {e}") from None
-    if data is None:
-        return {}
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: top level must be a mapping")
-    return data
+    return _mapping(data, str(path), known)
 
 
 def load_project_config(path) -> ProjectConfig:
-    data = _load_yaml(path)
+    data = _load_yaml(path, ("tie_rule", *_SECTIONS))
     kwargs = {}
-    for key, value in data.items():
-        if key == "device":
-            section = dict(value or {})
-            if "seed" in section:
-                kwargs["seed"] = section.pop("seed")
-            dev_kwargs = _take(section, "device", _DEVICE_KEYS)
-            try:
-                kwargs["device"] = DeviceModel(**dev_kwargs)
-            except ValueError as e:
-                raise ParseError(f"device: {e}") from None
-        elif key == "levels":
-            try:
-                kwargs["levels"] = VoltageLevels(**_take(value or {}, "levels", _LEVEL_KEYS))
-            except ValueError as e:
-                raise ParseError(f"levels: {e}") from None
-        elif key == "tie_rule":
-            kwargs["tie_rule"] = parse_tie_rule(value)
-        elif key == "transient":
-            try:
-                kwargs["transient"] = TransientParams(
-                    **_take(value or {}, "transient", _TRANSIENT_KEYS)
-                )
-            except ValueError as e:
-                raise ParseError(f"transient: {e}") from None
-        elif key == "clock":
-            kwargs.update(_take(value or {}, "clock", _CLOCK_KEYS))
-        else:
-            raise ParseError(f"unknown top-level key {key!r} in {path}")
+    if "tie_rule" in data:
+        kwargs["tie_rule"] = parse_tie_rule(data["tie_rule"])
+    for name, (cls, keys) in _SECTIONS.items():
+        if name not in data:
+            continue
+        fields = {
+            keys[key]: _number(value, f"{name}.{key}",
+                               int if keys[key] in _INT_FIELDS else float)
+            for key, value in _mapping(data[name], name, keys).items()
+        }
+        if "seed" in fields:
+            kwargs["seed"] = fields.pop("seed")
+        if cls is None:
+            kwargs.update(fields)
+            continue
+        try:
+            kwargs[name] = cls(**fields)
+        except ValueError as e:
+            raise ParseError(f"{name}: {e}") from None
     return ProjectConfig(**kwargs)
 
 
@@ -179,19 +189,15 @@ def parse_tie_rule(value: str) -> TieRule:
 
 
 def _parse_resistance_list(values, where) -> tuple[float, ...]:
-    if not isinstance(values, list) or not values:
+    values = _sequence(values, where)
+    if not values:
         raise ParseError(f"{where}: expected a non-empty list of resistances")
     out = []
     for i, v in enumerate(values):
-        if isinstance(v, (int, float)):
-            if v <= 0:
-                raise ParseError(f"{where}[{i}]: resistance must be positive")
-            out.append(float(v))
-        else:
-            try:
-                out.append(parse_resistance(str(v)))
-            except ParseError as e:
-                raise ParseError(f"{where}[{i}]: {e}") from None
+        try:
+            out.append(parse_resistance(str(v)))
+        except ParseError as e:
+            raise ParseError(f"{where}[{i}]: {e}") from None
     return tuple(out)
 
 
@@ -209,16 +215,11 @@ def save_gate_config(config: GateConfig, path) -> None:
 
 
 def load_gate_config(path, levels: VoltageLevels | None = None) -> GateConfig:
-    data = _load_yaml(path)
-    for key in data:
-        if key not in _GATEFILE_KEYS:
-            raise ParseError(f"unknown key {key!r} in gate file {path}")
-    if "input_memristances_ohm" not in data or "threshold_memristances_ohm" not in data:
-        raise ParseError(f"{path}: gate file needs input and threshold memristances")
+    data = _load_yaml(path, _GATEFILE_KEYS)
     return GateConfig(
-        _parse_resistance_list(data["input_memristances_ohm"], "input_memristances_ohm"),
+        _parse_resistance_list(data.get("input_memristances_ohm"), "input_memristances_ohm"),
         _parse_resistance_list(
-            data["threshold_memristances_ohm"], "threshold_memristances_ohm"
+            data.get("threshold_memristances_ohm"), "threshold_memristances_ohm"
         ),
         levels=levels or VoltageLevels(),
         tie_rule=parse_tie_rule(data.get("tie_rule", "input_wins")),
@@ -243,25 +244,15 @@ def _parse_source(text, where) -> Source:
 def parse_netlist_file(path, levels: VoltageLevels | None = None,
                        tie_rule: TieRule = TieRule.INPUT_WINS) -> Netlist:
     """Netlist file: 'inputs' count, 'gates' list, 'wires' list, 'outputs' list."""
-    data = _load_yaml(path)
-    for key in data:
-        if key not in ("inputs", "gates", "wires", "outputs", "tie_rule"):
-            raise ParseError(f"unknown key {key!r} in netlist file {path}")
+    data = _load_yaml(path, ("inputs", "gates", "wires", "outputs", "tie_rule"))
     if "tie_rule" in data:
         tie_rule = parse_tie_rule(data["tie_rule"])
-    try:
-        n_inputs = int(data["inputs"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError(f"{path}: 'inputs' must be an integer count") from None
+    n_inputs = _number(data.get("inputs"), "inputs", int)
 
     gates: dict[str, GateConfig] = {}
-    for i, g in enumerate(data.get("gates") or []):
+    for i, g in enumerate(_sequence(data.get("gates"), "gates")):
         where = f"gates[{i}]"
-        if not isinstance(g, dict):
-            raise ParseError(f"{where}: expected a mapping")
-        for key in g:
-            if key not in ("name", "inputs", "threshold"):
-                raise ParseError(f"{where}: unknown key {key!r}")
+        g = _mapping(g, where, ("name", "inputs", "threshold"))
         name = str(g.get("name", "")).strip()
         if not name:
             raise ParseError(f"{where}: gate needs a name")
@@ -275,20 +266,19 @@ def parse_netlist_file(path, levels: VoltageLevels | None = None,
         )
 
     wires = []
-    for i, w in enumerate(data.get("wires") or []):
+    for i, w in enumerate(_sequence(data.get("wires"), "wires")):
         where = f"wires[{i}]"
-        if not isinstance(w, dict) or set(w) != {"from", "to"}:
-            raise ParseError(f"{where}: expected {{from: ..., to: ...}}")
-        src = _parse_source(w["from"], f"{where}.from")
-        m = _DEST_RE.match(str(w["to"]).strip())
+        w = _mapping(w, where, ("from", "to"))
+        src = _parse_source(w.get("from"), f"{where}.from")
+        m = _DEST_RE.match(str(w.get("to")).strip())
         if not m:
             raise ParseError(
-                f"{where}.to: destination must be '<gate>.<slot>', got {w['to']!r}"
+                f"{where}.to: destination must be '<gate>.<slot>', got {w.get('to')!r}"
             )
         wires.append(Wire(source=src, gate=m.group(1), slot=int(m.group(2)) - 1))
 
     outputs = []
-    for i, o in enumerate(data.get("outputs") or []):
+    for i, o in enumerate(_sequence(data.get("outputs"), "outputs")):
         where = f"outputs[{i}]"
         m = re.match(r"^(\w+)\.(CA|CO)$", str(o).strip())
         if not m:

@@ -137,13 +137,6 @@ def bits_of_index(k: int, n: int) -> tuple[int, ...]:
     return tuple((k >> (n - 1 - i)) & 1 for i in range(n))
 
 
-def index_of_bits(bits) -> int:
-    k = 0
-    for b in bits:
-        k = (k << 1) | int(b)
-    return k
-
-
 class GateKind(Enum):
     CONSTANT_ZERO = "constant-0"
     CONSTANT_ONE = "constant-1"

@@ -24,6 +24,7 @@ from .gate import (
     GateConfig,
     TieRule,
     TruthTable,
+    _corner_sums,
     bits_of_index,
 )
 
@@ -233,57 +234,29 @@ def verify_config(
     )
 
 
-def verify(result: SynthesisResult, target: TruthTable) -> VerifyReport:
-    """Check a feasible synthesis result's continuous config against the target."""
-    if not result.feasible:
-        raise ValueError("cannot verify an infeasible synthesis result")
-    config = GateConfig(
-        result.memristances,
-        (result.threshold_memristance,),
-        tie_rule=result.quantized_config.tie_rule
-        if result.quantized_config
-        else TieRule.INPUT_WINS,
-    )
-    return verify_config(config, target)
-
-
-_NAMED_TARGETS = ("AND", "OR", "NAND", "NOR", "XOR", "XNOR")
-
-
 def named_truth_table(name: str, n: int) -> tuple[TruthTable, str]:
     """Resolve a named target; returns (table, tap) where tap 'CO' means the
     function is realized as the complement read from the CO output."""
+    if not 1 <= n <= 10:
+        raise ValueError(f"named targets need n in 1..10, got {n}")
     name = name.strip().upper()
+    ones = _corner_sums([1] * n, zero=0)  # active inputs of every row
     if name.startswith("MAJ:"):
         k = int(name.split(":", 1)[1])
         if not (1 <= k <= n):
             raise ValueError(f"MAJ rank must be in 1..{n}, got {k}")
-        outs = tuple(
-            1 if sum(bits_of_index(i, n)) >= k else 0 for i in range(2 ** n)
-        )
-        return TruthTable(n, outs), "CA"
-    if name.startswith("DICT:"):
+        outs = ones >= k
+    elif name.startswith("DICT:"):
         i = int(name.split(":", 1)[1])
         if not (1 <= i <= n):
             raise ValueError(f"dictator index must be in 1..{n}, got {i}")
-        outs = tuple(bits_of_index(k, n)[i - 1] for k in range(2 ** n))
-        return TruthTable(n, outs), "CA"
-    if name not in _NAMED_TARGETS:
+        outs = (np.arange(2 ** n) >> (n - i)) & 1  # x1 is the MSB
+    elif name in ("AND", "NAND"):
+        outs = ones == n
+    elif name in ("OR", "NOR"):
+        outs = ones > 0
+    elif name in ("XOR", "XNOR"):
+        outs = ones % 2 if name == "XOR" else 1 - ones % 2
+    else:
         raise ValueError(f"unknown target name {name!r}")
-    size = 2 ** n
-    if name == "AND":
-        return TruthTable(n, tuple(1 if k == size - 1 else 0 for k in range(size))), "CA"
-    if name == "OR":
-        return TruthTable(n, tuple(0 if k == 0 else 1 for k in range(size))), "CA"
-    if name == "NAND":
-        tt, _ = named_truth_table("AND", n)
-        return tt, "CO"
-    if name == "NOR":
-        tt, _ = named_truth_table("OR", n)
-        return tt, "CO"
-    if name == "XOR":
-        outs = tuple(sum(bits_of_index(k, n)) % 2 for k in range(size))
-        return TruthTable(n, outs), "CA"
-    # XNOR
-    outs = tuple(1 - sum(bits_of_index(k, n)) % 2 for k in range(size))
-    return TruthTable(n, outs), "CA"
+    return TruthTable(n, outs.tolist()), "CO" if name in ("NAND", "NOR") else "CA"

@@ -245,6 +245,10 @@ class TestProgram:
         code, _, _ = run(capsys, "program", "--target", "5k")
         assert code == 3
 
+    def test_timeout_exit_3(self, capsys):
+        code, _, err = run(capsys, "program", "--target", "33k", "--max-pulses", "1")
+        assert code == 3 and err.startswith("error: did not reach 33000 ohm")
+
 
 class TestConfigFile:
     def test_config_drives_device_profile(self, capsys, tmp_path):
@@ -278,6 +282,52 @@ class TestConfigFile:
         assert code == 0 and "CA=0" in out
         code, out, _ = run(capsys, "eval", "--weights", "2M;2M", "--input", "1")
         assert code == 0 and "CA=1" in out
+
+
+EVAL_WITH_CONFIG = ("eval", "--config", "{file}", "--weights", "10k;20k", "--input", "1")
+PROGRAM_WITH_CONFIG = ("program", "--config", "{file}", "--target", "33k")
+
+
+class TestBadInput:
+    """Inputs that once ended in a traceback or were taken without a check:
+    (file text or None, argv with {file} for its path, expected in stderr)."""
+
+    CASES = {
+        "device_scalar": ("device: 5\n", EVAL_WITH_CONFIG, "device: expected a mapping"),
+        "levels_list": ("levels: [1, 2]\n", EVAL_WITH_CONFIG, "levels: expected a mapping"),
+        "transient_scalar": ("transient: 3\n", EVAL_WITH_CONFIG,
+                             "transient: expected a mapping"),
+        "clock_list": ("clock: [1]\n", EVAL_WITH_CONFIG, "clock: expected a mapping"),
+        "seed_text": ("device: {seed: abc, noise_sigma_rel: 0.01}\n", PROGRAM_WITH_CONFIG,
+                      "device.seed: expected an integer"),
+        "seed_fraction": ("device: {seed: 1.5, noise_sigma_rel: 0.01}\n",
+                          PROGRAM_WITH_CONFIG, "device.seed: expected an integer"),
+        "bits_fraction": ("device: {bits: 2.5}\n", EVAL_WITH_CONFIG,
+                          "device.bits: expected an integer"),
+        "netlist_gates_scalar": ("inputs: 1\ngates: 5\n", ("truth", "--netlist", "{file}"),
+                                 "gates: expected a list"),
+        "netlist_outputs_scalar": ("inputs: 1\noutputs: 5\n",
+                                   ("truth", "--netlist", "{file}"), "outputs: expected a list"),
+        "gate_file_inf": ("input_memristances_ohm: [.inf]\n"
+                          "threshold_memristances_ohm: [10k]\n",
+                          ("truth", "--gate-file", "{file}"), "input_memristances_ohm[0]"),
+        "weights_overflow": (None, ("eval", "--weights", "1k,1e400;1k", "--input", "11"),
+                             "'1e400' at position 3"),
+        "n_negative": (None, ("synth", "--target", "AND", "--n", "-1"), "n in 1..10"),
+        "n_11": (None, ("synth", "--target", "AND", "--n", "11"), "n in 1..10"),
+        "n_20": (None, ("synth", "--target", "AND", "--n", "20"), "n in 1..10"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exit_2_with_error_line(self, capsys, tmp_path, name):
+        text, argv, expected = self.CASES[name]
+        path = tmp_path / "input.yaml"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run(capsys, *(a.replace("{file}", str(path)) for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert expected in err
 
 
 class TestGoldenCsv:

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from mtlg.files import (
     ParseError,
+    ProjectConfig,
     load_gate_config,
     load_project_config,
     parse_netlist_file,
@@ -22,7 +25,8 @@ class TestParseResistance:
     def test_suffixes(self, text, ohms):
         assert parse_resistance(text) == pytest.approx(ohms, rel=1e-12)
 
-    @pytest.mark.parametrize("text", ["", "abc", "-33k", "33kk", "0"])
+    @pytest.mark.parametrize("text", ["", "abc", "-33k", "33kk", "0", "1e400", "1e397k",
+                                      "inf", "nan"])
     def test_rejects_garbage(self, text):
         with pytest.raises(ParseError):
             parse_resistance(text)
@@ -86,6 +90,33 @@ class TestProjectConfig:
         with pytest.raises(ParseError):
             load_project_config(p)
 
+    def test_integer_fields(self, tmp_path):
+        p = tmp_path / "cfg.yaml"
+        p.write_text("device: {bits: 4.0, seed: 3}\n")
+        cfg = load_project_config(p)
+        assert cfg.device.bits == 4 and cfg.seed == 3
+
+    @pytest.mark.parametrize("text,message", [
+        ("device: {bits: 2.5}\n", "device.bits: expected an integer"),
+        ("device: {seed: 1.5}\n", "device.seed: expected an integer"),
+        ("device: {seed: abc}\n", "device.seed: expected an integer"),
+        ("levels: {v_dd_v: abc}\n", "levels.v_dd_v: expected a number"),
+        ("levels: [1, 2]\n", "levels: expected a mapping"),
+        ("clock: {period: 1}\n", "clock: unknown key 'period'"),
+        ("- device\n", "expected a mapping, got list"),
+        ("levels: {v_dd_v: 1.0}\n", "levels: require v_low < v_dd < v_high"),
+    ])
+    def test_section_errors(self, tmp_path, text, message):
+        p = tmp_path / "cfg.yaml"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_project_config(p)
+
+    def test_empty_sections_give_defaults(self, tmp_path):
+        p = tmp_path / "cfg.yaml"
+        p.write_text("device:\nlevels:\ntransient:\nclock:\n")
+        assert load_project_config(p) == ProjectConfig()
+
     def test_empty_file_gives_defaults(self, tmp_path):
         p = tmp_path / "cfg.yaml"
         p.write_text("")
@@ -107,6 +138,30 @@ class TestGateConfigFile:
         p = tmp_path / "gate.yaml"
         p.write_text("input_memristances_ohm: [1000]\nthreshold_memristances_ohm: [1000]\nfoo: 1\n")
         with pytest.raises(ParseError):
+            load_gate_config(p)
+
+    def test_resistances_read_as_weights_do(self, tmp_path):
+        p = tmp_path / "gate.yaml"
+        p.write_text("input_memristances_ohm: [60500, 6.05e+4, 60.5k, '60500.0']\n"
+                     "threshold_memristances_ohm: [1.0e6]\n")
+        cfg = load_gate_config(p)
+        assert cfg.input_memristances == (60500.0,) * 4
+        assert cfg.threshold_memristances == (parse_resistance("1.0e6"),)
+
+    @pytest.mark.parametrize("value", [".inf", ".nan", "true", "-5", "0", "[1k]", "{}"])
+    def test_bad_resistance_is_parse_error(self, tmp_path, value):
+        p = tmp_path / "gate.yaml"
+        p.write_text(f"input_memristances_ohm: [{value}]\nthreshold_memristances_ohm: [1k]\n")
+        with pytest.raises(ParseError, match=re.escape("input_memristances_ohm[0]: ")):
+            load_gate_config(p)
+
+    @pytest.mark.parametrize("text", ["threshold_memristances_ohm: [1k]\n",
+                                      "input_memristances_ohm: 1k\n"
+                                      "threshold_memristances_ohm: [1k]\n"])
+    def test_missing_or_scalar_list(self, tmp_path, text):
+        p = tmp_path / "gate.yaml"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="input_memristances_ohm"):
             load_gate_config(p)
 
 
@@ -184,6 +239,25 @@ class TestNetlistFile:
             "  - {name: g, inputs: [10q], threshold: [10k]}\n"
         )
         with pytest.raises(ParseError, match=r"gates\[0\].inputs"):
+            parse_netlist_file(p)
+
+    @pytest.mark.parametrize("body,message", [
+        ("inputs: 1.5\n", "inputs: expected an integer"),
+        ("gates: []\n", "inputs: expected an integer, got None"),
+        ("inputs: 1\ngates: 5\n", "gates: expected a list"),
+        ("inputs: 1\ngates: [5]\n", "gates[0]: expected a mapping"),
+        ("inputs: 1\ngates: [{name: g, inputs: [1k], threshold: [1k], x: 1}]\n",
+         "gates[0]: unknown key 'x'"),
+        ("inputs: 1\nwires: {from: in1, to: g.1}\n", "wires: expected a list"),
+        ("inputs: 1\nwires: [{from: in1}]\n", "wires[0].to"),
+        ("inputs: 1\nwires: [{from: in1, to: g.1, via: x}]\n", "wires[0]: unknown key 'via'"),
+        ("inputs: 1\noutputs: 5\n", "outputs: expected a list"),
+        ("inputs: 1\nlevels: {}\n", "unknown key 'levels'"),
+    ])
+    def test_shape_errors(self, tmp_path, body, message):
+        p = tmp_path / "net.yaml"
+        p.write_text(body)
+        with pytest.raises(ParseError, match=re.escape(message)):
             parse_netlist_file(p)
 
     def test_bad_wire_spec(self, tmp_path):

@@ -15,7 +15,6 @@ from mtlg.synth import (
     check_separability,
     named_truth_table,
     synthesize,
-    verify,
     verify_config,
 )
 from oracles import exact_truth_table, reference_verify_config, reference_witness
@@ -85,7 +84,8 @@ class TestSynthesize:
         maj2, _ = named_truth_table("MAJ:2", 3)
         res = synthesize(SynthesisSpec(maj2))
         assert res.feasible
-        assert verify(res, maj2).ok
+        assert verify_config(GateConfig(res.memristances, (res.threshold_memristance,)),
+                             maj2).ok
         assert exact_truth_table(
             res.memristances, (res.threshold_memristance,)
         ) == maj2.outputs
@@ -141,10 +141,9 @@ class TestVerify:
         assert not report.ok
         assert report.first_failure_row == 1  # input (0,1) should be 1 for OR
 
-    def test_verify_rejects_infeasible_result(self):
-        res = synthesize(SynthesisSpec(XOR2))
-        with pytest.raises(ValueError):
-            verify(res, XOR2)
+    def test_verify_config_rejects_mismatched_target(self):
+        with pytest.raises(ValueError, match="config has 3 inputs, target has 2"):
+            verify_config(GateConfig((1e4, 2e4, 3e4), (1e4,)), XOR2)
 
 
 class TestSingleLp:
@@ -282,3 +281,24 @@ class TestNamedTargets:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             named_truth_table("XYZZY", 2)
+
+    @pytest.mark.parametrize("n", [0, -1, 11, 20])
+    def test_input_count_out_of_range(self, n):
+        with pytest.raises(ValueError, match="n in 1..10"):
+            named_truth_table("AND", n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_tables_match_row_definitions(self, n):
+        rows = [bits_of_index(k, n) for k in range(2 ** n)]
+        want = {
+            "AND": ([all(b) for b in rows], "CA"),
+            "NAND": ([all(b) for b in rows], "CO"),
+            "OR": ([any(b) for b in rows], "CA"),
+            "NOR": ([any(b) for b in rows], "CO"),
+            "XOR": ([sum(b) % 2 for b in rows], "CA"),
+            "XNOR": ([1 - sum(b) % 2 for b in rows], "CA"),
+            **{f"MAJ:{k}": ([sum(b) >= k for b in rows], "CA") for k in range(1, n + 1)},
+            **{f"DICT:{i}": ([b[i - 1] for b in rows], "CA") for i in range(1, n + 1)},
+        }
+        for name, (outs, tap) in want.items():
+            assert named_truth_table(f" {name.lower()}", n) == (TruthTable(n, outs), tap)
