@@ -57,14 +57,11 @@ def _gate_from_args(args, cfg: files.ProjectConfig) -> GateConfig:
     return GateConfig(ms, ths, levels=cfg.levels, tie_rule=_tie_rule(args, cfg))
 
 
-def _parse_bits(text: str, n: int | None = None) -> tuple[int, ...]:
+def _parse_bits(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text or any(c not in "01" for c in text):
         raise files.ParseError(f"input must be a 0/1 string, got {text!r}")
-    bits = tuple(int(c) for c in text)
-    if n is not None and len(bits) != n:
-        raise ModelError(f"input has {len(bits)} bits, gate expects {n}")
-    return bits
+    return tuple(int(c) for c in text)
 
 
 def _open_out(path):
@@ -76,7 +73,7 @@ def _open_out(path):
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     gate = _gate_from_args(args, cfg)
-    bits = _parse_bits(args.input, gate.n)
+    bits = _parse_bits(args.input)
     out = evaluate(gate, bits)
     bc = branch_currents(gate, bits)
     print(f"CA={out.ca} CO={out.co} Iin={bc.i_in:.5g} Ith={bc.i_th:.5g}")
@@ -109,6 +106,10 @@ def cmd_boundary(args) -> int:
     cfg = _load_config(args)
     gate = _gate_from_args(args, cfg)
     g, g_t = decision_hyperplane(gate)
+    try:
+        bm = boundary_grid(gate, args.res) if gate.n in (2, 3) else None
+    except ValueError as e:  # --res out of range: a usage error, before any output
+        raise files.ParseError(str(e)) from None
     with _open_out(args.out) as fh:
         coeffs = ",".join(f"{x:.9g}" for x in g)
         fh.write(f"# hyperplane: {coeffs},{g_t:.9g}\n")
@@ -122,8 +123,7 @@ def cmd_boundary(args) -> int:
             "rule; the class flips between AND-like and OR-like as the "
             "threshold conductance crosses the single-input conductances\n"
         )
-        if gate.n in (2, 3):
-            bm = boundary_grid(gate, args.res)
+        if bm is not None:
             fh.write(",".join(f"a{i + 1}" for i in range(gate.n)) + ",class\n")
             coords = np.meshgrid(*bm.axes, indexing="ij")
             tr_mod.write_rows(fh, [a.ravel() for a in coords] + [bm.grid.ravel()])
@@ -133,9 +133,8 @@ def cmd_boundary(args) -> int:
 def cmd_wave(args) -> int:
     cfg = _load_config(args)
     gate = _gate_from_args(args, cfg)
-    seq = [_parse_bits(v, gate.n) for v in args.inputs.split(",")]
-    clock = cfg.clock(n_cycles=len(seq))
-    trace = tr_mod.simulate(gate, seq, clock, cfg.transient)
+    seq = [_parse_bits(v) for v in args.inputs.split(",")]
+    trace = tr_mod.simulate(gate, seq, cfg.clock, cfg.transient)
     with _open_out(args.out) as fh:
         tr_mod.write_csv(trace, fh)
     return EXIT_OK
@@ -153,11 +152,11 @@ def cmd_synth(args) -> int:
             raise files.ParseError("named targets need --n")
         else:
             tt, tap = synth_mod.named_truth_table(target, args.n)
+        spec = synth_mod.SynthesisSpec(
+            target=tt, device=cfg.device, tie_rule=tie, min_margin_rel=args.margin
+        )
     except ValueError as e:
         raise files.ParseError(str(e)) from None
-    spec = synth_mod.SynthesisSpec(
-        target=tt, device=cfg.device, tie_rule=tie, min_margin_rel=args.margin
-    )
     result = synth_mod.synthesize(spec)
     if not result.feasible:
         w = result.infeasibility_witness

@@ -73,22 +73,11 @@ class ProjectConfig:
     levels: VoltageLevels = field(default_factory=VoltageLevels)
     tie_rule: TieRule = TieRule.INPUT_WINS
     transient: TransientParams = field(default_factory=TransientParams)
-    clock_period: float = 2e-3
-    clock_duty_eq: float = 0.5
-    clock_sample_dt: float = 1e-5
+    clock: ClockSpec = field(default_factory=ClockSpec)
     seed: int | None = None
 
-    def clock(self, n_cycles: int) -> ClockSpec:
-        return ClockSpec(
-            period=self.clock_period,
-            duty_eq=self.clock_duty_eq,
-            n_cycles=n_cycles,
-            sample_dt=self.clock_sample_dt,
-        )
 
-
-# section -> (constructor, or None for ProjectConfig's own fields;
-#             file key -> field name)
+# section -> (constructor, file key -> field name)
 _SECTIONS = {
     "device": (DeviceModel, {
         "r_min_ohm": "r_min",
@@ -105,8 +94,8 @@ _SECTIONS = {
         "r_sense_ohm": "r_sense",
         "v_meta_floor_v": "v_meta_floor",
     }),
-    "clock": (None, {"period_s": "clock_period", "duty_eq": "clock_duty_eq",
-                     "sample_dt_s": "clock_sample_dt"}),
+    "clock": (ClockSpec, {"period_s": "period", "duty_eq": "duty_eq",
+                          "sample_dt_s": "sample_dt"}),
 }
 _INT_FIELDS = {"bits", "seed"}
 
@@ -135,11 +124,15 @@ def _sequence(value, where) -> list:
 
 def _number(value, where, kind=float):
     """kind(value) for a numeric field. Strings are accepted (YAML 1.1 reads
-    '1.0e6' as one); an int field rejects a float with a fractional part."""
+    '1.0e6' as one); an int field rejects a float with a fractional part, and
+    every field rejects infinity and NaN."""
     try:
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError
-        return kind(value)
+        number = kind(value)
+        if not -math.inf < number < math.inf:
+            raise ValueError
+        return number
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         raise ParseError(f"{where}: expected {what}, got {value!r}") from None
@@ -169,9 +162,6 @@ def load_project_config(path) -> ProjectConfig:
         }
         if "seed" in fields:
             kwargs["seed"] = fields.pop("seed")
-        if cls is None:
-            kwargs.update(fields)
-            continue
         try:
             kwargs[name] = cls(**fields)
         except ValueError as e:

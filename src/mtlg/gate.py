@@ -179,16 +179,23 @@ def _check_bits(config: GateConfig, bits) -> tuple[int, ...]:
     return bits
 
 
-def _threshold_current(config: GateConfig) -> float:
-    return config.levels.v_dd * sum(1.0 / m for m in config.threshold_memristances)
+def decision_hyperplane(config: GateConfig) -> tuple[tuple[float, ...], float]:
+    """Coefficients (g_1..g_n) and right-hand side g_T of the boundary: the
+    conductances behind every decision of the float path."""
+    g = tuple(1.0 / m for m in config.input_memristances)
+    g_t = sum(1.0 / m for m in config.threshold_memristances)
+    return g, g_t
+
+
+_conductances = decision_hyperplane  # per-row name, not wrapped by perfbench/tracing.py
 
 
 def branch_currents(config: GateConfig, bits) -> BranchCurrents:
     """Currents drawn by the active input memristors and by the threshold bank."""
     bits = _check_bits(config, bits)
+    g, g_t = _conductances(config)
     v = config.levels.v_dd
-    i_in = v * sum(1.0 / m for m, b in zip(config.input_memristances, bits) if b)
-    return BranchCurrents(i_in=i_in, i_th=_threshold_current(config))
+    return BranchCurrents(i_in=v * sum(gi for gi, b in zip(g, bits) if b), i_th=v * g_t)
 
 
 def decide(i_in, i_th, tie_rule: TieRule):
@@ -210,9 +217,9 @@ def evaluate_patterns(config: GateConfig, columns) -> np.ndarray:
     """CA for many input patterns at once; columns[i] holds input i's 0/1 bit
     of every pattern. The active conductances add in slot order, as in
     branch_currents, so every decision equals evaluate's bit for bit."""
-    s = sum(np.where(col, 1.0 / m, 0.0)
-            for m, col in zip(config.input_memristances, columns))
-    return decide(config.levels.v_dd * s, _threshold_current(config), config.tie_rule)
+    g, g_t = _conductances(config)
+    s = sum(np.where(col, gi, 0.0) for gi, col in zip(g, columns))
+    return decide(config.levels.v_dd * s, config.levels.v_dd * g_t, config.tie_rule)
 
 
 def _corner_sums(terms, zero=0.0) -> np.ndarray:
@@ -227,8 +234,9 @@ def _corner_sums(terms, zero=0.0) -> np.ndarray:
 
 def truth_table(config: GateConfig) -> TruthTable:
     """Exhaustive evaluation over all 2^n input corners."""
-    i_in = config.levels.v_dd * _corner_sums([1.0 / m for m in config.input_memristances])
-    ca = decide(i_in, _threshold_current(config), config.tie_rule)
+    g, g_t = _conductances(config)
+    v = config.levels.v_dd
+    ca = decide(v * _corner_sums(g), v * g_t, config.tie_rule)
     return TruthTable(config.n, ca.tolist())
 
 
@@ -290,13 +298,6 @@ class BoundaryMap:
     grid: np.ndarray  # shape (res,)*n, values 0/1; index order (a1, a2, ...)
     conductances: tuple[float, ...]
     g_threshold: float
-
-
-def decision_hyperplane(config: GateConfig) -> tuple[tuple[float, ...], float]:
-    """Coefficients (g_1..g_n) and right-hand side g_T of the boundary."""
-    g = tuple(1.0 / m for m in config.input_memristances)
-    g_t = sum(1.0 / m for m in config.threshold_memristances)
-    return g, g_t
 
 
 def boundary_grid(config: GateConfig, resolution: int) -> BoundaryMap:

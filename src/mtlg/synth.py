@@ -45,7 +45,7 @@ class SynthesisSpec:
     min_margin_rel: float = 0.05
 
     def __post_init__(self):
-        if self.min_margin_rel < 0:
+        if not (self.min_margin_rel >= 0):
             raise ValueError("min_margin_rel must be >= 0")
 
 

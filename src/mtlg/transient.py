@@ -16,12 +16,13 @@ import numpy as np
 
 from .gate import GateConfig, VoltageLevels, branch_currents, evaluate
 
+MAX_SAMPLES = 10**7  # longest trace simulate builds, 80 MB per column
+
 
 @dataclass(frozen=True)
 class ClockSpec:
     period: float = 2e-3
     duty_eq: float = 0.5  # fraction of the period spent in equalization
-    n_cycles: int = 4
     sample_dt: float = 1e-5
 
     def __post_init__(self):
@@ -29,8 +30,6 @@ class ClockSpec:
             raise ValueError("period must be > 0")
         if not (0 < self.duty_eq < 1):
             raise ValueError("duty_eq must be in (0, 1)")
-        if self.n_cycles < 1:
-            raise ValueError("n_cycles must be >= 1")
         if not (0 < self.sample_dt <= self.period / 20):
             raise ValueError("sample_dt must be positive and <= period / 20")
 
@@ -90,14 +89,16 @@ def simulate(
     clock: ClockSpec | None = None,
     params: TransientParams | None = None,
 ) -> WaveformTrace:
-    """Run one input vector per clock cycle and sample all node voltages."""
-    clock = clock or ClockSpec(n_cycles=len(input_sequence))
+    """Run one input vector per clock cycle and sample all node voltages; the
+    number of cycles is the number of input vectors."""
+    clock = clock or ClockSpec()
     params = params or TransientParams()
     input_sequence = [tuple(int(b) for b in v) for v in input_sequence]
-    if len(input_sequence) != clock.n_cycles:
-        raise ValueError(
-            f"{len(input_sequence)} input vectors for {clock.n_cycles} cycles"
-        )
+    if not input_sequence:
+        raise ValueError("need at least one input vector")
+    n_samples = len(input_sequence) * clock.period / clock.sample_dt
+    if not n_samples <= MAX_SAMPLES:
+        raise ValueError(f"trace of {n_samples:.4g} samples exceeds {MAX_SAMPLES}")
     lv = config.levels
     v_mid = lv.v_dd / 2.0
     t_eq = clock.duty_eq * clock.period
@@ -112,9 +113,9 @@ def simulate(
         cycle_flags.append(ts is not None and ts <= t_eval)
 
     # every sample at once: its cycle c and its offset into that cycle
-    n_samples = int(round(clock.n_cycles * clock.period / clock.sample_dt))
+    n_samples = int(round(n_samples))
     time = np.arange(n_samples) * clock.sample_dt
-    # below n_cycles, since every sample has t <= n_cycles * period - dt / 2
+    # below the cycle count, since every sample has t <= cycles * period - dt / 2
     c = (time / clock.period).astype(np.int64)
     offset = time - c * clock.period
     eq = offset < t_eq  # equalization: nodes shunted together

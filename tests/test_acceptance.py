@@ -217,7 +217,7 @@ def tt_index(bits):
 def test_criterion_8_transient():
     cfg = GateConfig(*AND_HW)
     seq = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    clock = ClockSpec(n_cycles=4)
+    clock = ClockSpec()
     params = TransientParams()
     trace = simulate(cfg, seq, clock, params)
     v_mid = cfg.levels.v_dd / 2.0
@@ -239,7 +239,7 @@ def test_criterion_8_transient():
     tie_cfg = GateConfig((2e6,), (2e6,))
     bc = branch_currents(tie_cfg, (1,))
     assert bc.i_in == bc.i_th
-    tie_trace = simulate(tie_cfg, [(1,)], ClockSpec(n_cycles=1), params)
+    tie_trace = simulate(tie_cfg, [(1,)], ClockSpec(), params)
     assert tie_trace.cycle_resolved == (False,)
     # settle time strictly decreases as the current imbalance grows
     # keep the initial imbalance below half rail so the clamp at zero stays out

@@ -129,6 +129,13 @@ class TestBoundary:
             elif a1 + a2 < 1.2 - 0.0101:
                 assert cls == 0
 
+    def test_bad_resolution_leaves_out_file_alone(self, capsys, tmp_path):
+        out_file = tmp_path / "grid.csv"
+        out_file.write_text("kept\n")
+        code, _, _ = run(capsys, "boundary", "--weights", "3M,3M;4M", "--res", "0",
+                         "--out", str(out_file))
+        assert code == 2 and out_file.read_text() == "kept\n"
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run(capsys, "boundary", "--weights", "3M,3M;4M", "--res", "31", "--out", str(f1))
@@ -152,6 +159,21 @@ class TestWave:
                              "--inputs", "01", "--out", str(out_file))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "wave.csv" in err
+
+    def test_wrong_length_vector_exit_3(self, capsys):
+        code, out, err = run(capsys, "wave", "--weights", "60k,30k;40k",
+                             "--inputs", "11,111")
+        assert code == 3 and out == ""
+        assert err == "error: input has 3 bits, gate expects 2\n"
+
+    def test_sample_count_bound_exit_3(self, capsys, tmp_path):
+        # 2e9 samples are refused before any array is built
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("clock: {sample_dt_s: 1.0e-12}\n")
+        code, out, err = run(capsys, "wave", "--config", str(cfg),
+                             "--weights", "60k,30k;40k", "--inputs", "01")
+        assert code == 3 and out == ""
+        assert err.startswith("error: trace of 2e+09 samples exceeds 10000000")
 
 
 class TestSynth:
@@ -286,6 +308,9 @@ class TestConfigFile:
 
 EVAL_WITH_CONFIG = ("eval", "--config", "{file}", "--weights", "10k;20k", "--input", "1")
 PROGRAM_WITH_CONFIG = ("program", "--config", "{file}", "--target", "33k")
+WAVE_WITH_CONFIG = ("wave", "--config", "{file}", "--weights", "10k;20k", "--inputs", "1")
+BOUNDARY = ("boundary", "--weights", "3M,3M;4M")
+SYNTH_AND = ("synth", "--target", "AND", "--n", "2")
 
 
 class TestBadInput:
@@ -316,6 +341,21 @@ class TestBadInput:
         "n_negative": (None, ("synth", "--target", "AND", "--n", "-1"), "n in 1..10"),
         "n_11": (None, ("synth", "--target", "AND", "--n", "11"), "n in 1..10"),
         "n_20": (None, ("synth", "--target", "AND", "--n", "20"), "n in 1..10"),
+        "r_max_inf": ("device: {r_max_ohm: .inf}\n", PROGRAM_WITH_CONFIG,
+                      "device.r_max_ohm: expected a number, got inf"),
+        "period_inf": ("clock: {period_s: .inf}\n", WAVE_WITH_CONFIG,
+                       "clock.period_s: expected a number, got inf"),
+        "tau_inf": ("transient: {tau_s: .inf}\n", EVAL_WITH_CONFIG,
+                    "transient.tau_s: expected a number, got inf"),
+        "noise_nan": ("device: {noise_sigma_rel: .nan}\n", PROGRAM_WITH_CONFIG,
+                      "device.noise_sigma_rel: expected a number, got nan"),
+        "clock_duty_eval": ("clock: {duty_eq: 1.5}\n", EVAL_WITH_CONFIG,
+                            "clock: duty_eq must be in (0, 1)"),
+        "res_0": (None, (*BOUNDARY, "--res", "0"), "resolution must be >= 2, got 0"),
+        "res_1": (None, (*BOUNDARY, "--res", "1"), "resolution must be >= 2, got 1"),
+        "margin_nan": (None, (*SYNTH_AND, "--margin", "nan"), "min_margin_rel must be >= 0"),
+        "margin_negative": (None, (*SYNTH_AND, "--margin", "-1"),
+                            "min_margin_rel must be >= 0"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -14,6 +14,7 @@ from mtlg.files import (
 )
 from mtlg.gate import GateConfig, TieRule
 from mtlg.netlist import network_truth_table, validate
+from mtlg.transient import ClockSpec
 
 
 class TestParseResistance:
@@ -76,7 +77,7 @@ class TestProjectConfig:
         assert cfg.seed == 11
         assert cfg.tie_rule is TieRule.THRESHOLD_WINS
         assert cfg.transient.tau == 2e-7
-        assert cfg.clock(2).period == 1e-3
+        assert cfg.clock == ClockSpec(period=1e-3, sample_dt=5e-6)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "cfg.yaml"

@@ -62,7 +62,7 @@ class TestSimulate:
         seq = [(0, 0), (0, 1), (1, 0), (1, 1)]
         tr = simulate(AND_HW, seq)
         assert tr.cycle_resolved == (True, True, True, True)
-        clock = ClockSpec(n_cycles=4)
+        clock = ClockSpec()
         for c, vec in enumerate(seq):
             # last sample of the evaluation window is at rail
             k = int(round((c + 1) * clock.period / clock.sample_dt)) - 1
@@ -86,9 +86,14 @@ class TestSimulate:
         assert np.all(tr.inputs[0] == LEVELS.v_low)
         assert np.all(tr.inputs[1] == LEVELS.v_high)
 
-    def test_sequence_length_must_match_clock(self):
-        with pytest.raises(ValueError):
-            simulate(AND_HW, [(1, 1)], ClockSpec(n_cycles=2))
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="at least one input vector"):
+            simulate(AND_HW, [])
+
+    def test_sample_count_bounded_before_allocation(self):
+        # 2e9 samples: rejected from the clock alone, before any array is built
+        with pytest.raises(ValueError, match="2e\\+09 samples"):
+            simulate(AND_HW, [(1, 1)] * 2, ClockSpec(sample_dt=2e-12))
 
     def test_trace_is_deterministic(self):
         a = io.StringIO()
@@ -135,7 +140,7 @@ class TestReferenceSampler:
         seq = [tuple(rng.integers(0, 2, n)) for _ in range(cycles)]
         period = rng.uniform(1e-4, 5e-3)
         clock = ClockSpec(period=period, duty_eq=rng.uniform(0.1, 0.9),
-                          n_cycles=cycles, sample_dt=period / rng.uniform(20, 250))
+                          sample_dt=period / rng.uniform(20, 250))
         # tau up to 100 us keeps the ramp from underflowing to 0, so a decay
         # computed one ulp off shows in ca and co
         params = TransientParams(tau=10 ** rng.uniform(-7, -4),
