@@ -46,8 +46,8 @@ class DeviceModel:
             raise ValueError(f"bits must be in 1..7, got {self.bits}")
         if not (0 < self.v_prog_threshold < self.v_set):
             raise ValueError("require 0 < v_prog_threshold < v_set")
-        if not (self.v_reset < 0):
-            raise ValueError("v_reset must be negative")
+        if not (self.v_reset < -self.v_prog_threshold):
+            raise ValueError("require v_reset < -v_prog_threshold")
         if not (0 < self.step_fraction < 1):
             raise ValueError("step_fraction must be in (0, 1)")
         if self.noise_sigma_rel < 0:
@@ -78,11 +78,6 @@ class MemristorState:
 @dataclass(frozen=True)
 class PulseSpec:
     amplitude: float  # signed volts
-    width: float = 100e-6  # seconds
-
-    def __post_init__(self):
-        if not (self.width > 0):
-            raise ValueError("pulse width must be > 0")
 
 
 def read_current(state: MemristorState, v: float) -> float:

@@ -90,14 +90,14 @@ class GateConfig:
 
 @dataclass(frozen=True)
 class BranchCurrents:
-    i_in: float
+    i_in: float | np.ndarray  # an array for columns of patterns
     i_th: float
 
 
 @dataclass(frozen=True)
 class GateOutput:
-    ca: int
-    co: int
+    ca: int | np.ndarray  # int8 arrays for columns of patterns
+    co: int | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -168,15 +168,24 @@ class GateClass:
         return self.kind.value
 
 
-def _check_bits(config: GateConfig, bits) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in bits)
+def _check_bits(config: GateConfig, bits):
+    """The bits unchanged, once they are config.n 0/1 values (one input
+    vector) or config.n equal-length 0/1 columns (one pattern per row)."""
     if len(bits) != config.n:
         raise DimensionMismatchError(
             f"input has {len(bits)} bits, gate expects {config.n}"
         )
-    if any(b not in (0, 1) for b in bits):
+    b = np.asarray(bits)
+    if not ((b == 0) | (b == 1)).all():
         raise ValueError("input bits must be 0/1")
     return bits
+
+
+def input_columns(n: int) -> list[np.ndarray]:
+    """The int8 column of each input x1..xn over all 2^n truth-table rows,
+    x1 the most significant bit of the row index."""
+    k = np.arange(2 ** n)
+    return [((k >> (n - 1 - i)) & 1).astype(np.int8) for i in range(n)]
 
 
 def decision_hyperplane(config: GateConfig) -> tuple[tuple[float, ...], float]:
@@ -191,11 +200,13 @@ _conductances = decision_hyperplane  # per-row name, not wrapped by perfbench/tr
 
 
 def branch_currents(config: GateConfig, bits) -> BranchCurrents:
-    """Currents drawn by the active input memristors and by the threshold bank."""
+    """Currents drawn by the active input memristors and by the threshold bank,
+    for one input vector (floats) or for columns of patterns (arrays). The
+    conductances add in slot order; an inactive input adds an exact 0.0."""
     bits = _check_bits(config, bits)
     g, g_t = _conductances(config)
     v = config.levels.v_dd
-    return BranchCurrents(i_in=v * sum(gi for gi, b in zip(g, bits) if b), i_th=v * g_t)
+    return BranchCurrents(i_in=v * sum(gi * b for gi, b in zip(g, bits)), i_th=v * g_t)
 
 
 def decide(i_in, i_th, tie_rule: TieRule):
@@ -208,27 +219,21 @@ def decide(i_in, i_th, tie_rule: TieRule):
 
 
 def evaluate(config: GateConfig, bits) -> GateOutput:
+    """CA and CO as ints for one input vector, as int8 arrays for columns."""
     bc = branch_currents(config, bits)
-    ca = int(decide(bc.i_in, bc.i_th, config.tie_rule))
+    ca = decide(bc.i_in, bc.i_th, config.tie_rule)
+    if ca.ndim == 0:
+        ca = int(ca)
     return GateOutput(ca=ca, co=1 - ca)
 
 
-def evaluate_patterns(config: GateConfig, columns) -> np.ndarray:
-    """CA for many input patterns at once; columns[i] holds input i's 0/1 bit
-    of every pattern. The active conductances add in slot order, as in
-    branch_currents, so every decision equals evaluate's bit for bit."""
-    g, g_t = _conductances(config)
-    s = sum(np.where(col, gi, 0.0) for gi, col in zip(g, columns))
-    return decide(config.levels.v_dd * s, config.levels.v_dd * g_t, config.tie_rule)
-
-
-def _corner_sums(terms, zero=0.0) -> np.ndarray:
+def _corner_sums(terms) -> np.ndarray:
     """sum(t_i * x_i) at every input corner x, in truth-table order. Doubling
     over the terms in slot order adds each corner's active terms left to right,
     as Python's sum does, so float sums equal branch_currents' bit for bit."""
-    s = np.array([zero])
+    s = np.array([0.0])
     for t in terms:
-        s = (s[:, None] + [zero, t]).ravel()
+        s = (s[:, None] + [0.0, t]).ravel()
     return s
 
 
@@ -256,7 +261,7 @@ def classify(tt: TruthTable) -> GateClass:
         if not lo.any() and hi.all():
             return GateClass(GateKind.DICTATOR, index=i)
 
-    popcount = _corner_sums([1] * n, zero=0)
+    popcount = np.bitwise_count(np.arange(2 ** n))
     rows = np.bincount(popcount, minlength=n + 1)
     ones = np.bincount(popcount[outs == 1], minlength=n + 1)
     maj = _majority_rank(ones, rows)

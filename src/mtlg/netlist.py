@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# evaluate is unused here but stays importable: perfbench/tracing.py wraps it
-from .gate import GateConfig, TruthTable, evaluate, evaluate_patterns  # noqa: F401
+from .gate import GateConfig, TruthTable, evaluate, input_columns
 
 
 @dataclass(frozen=True)
@@ -64,10 +63,6 @@ class Diagnostic:
     message: str
 
 
-def _diag(code, message):
-    return Diagnostic(code=code, message=message)
-
-
 def validate(net: Netlist) -> list[Diagnostic]:
     """Structural checks; an empty list means the netlist is well formed."""
     return _diagnose(net)[0]
@@ -81,26 +76,23 @@ def _diagnose(net: Netlist) -> tuple[list[Diagnostic], tuple[str, ...]]:
 
     for w in net.wires:
         if w.gate not in net.gates:
-            diags.append(_diag("UnknownGate", f"wire targets unknown gate {w.gate!r}"))
+            diags.append(Diagnostic("UnknownGate", f"wire targets unknown gate {w.gate!r}"))
             continue
         n = net.gates[w.gate].n
         if not (0 <= w.slot < n):
-            diags.append(
-                _diag("BadSlot", f"gate {w.gate!r} has no input slot {w.slot + 1} (fan-in {n})")
-            )
+            msg = f"gate {w.gate!r} has no input slot {w.slot + 1} (fan-in {n})"
+            diags.append(Diagnostic("BadSlot", msg))
             continue
         src = w.source
         if src.kind == "in":
             if not (0 <= src.index < net.primary_inputs):
-                diags.append(
-                    _diag("UnknownInput", f"primary input in{src.index + 1} does not exist")
-                )
+                msg = f"primary input in{src.index + 1} does not exist"
+                diags.append(Diagnostic("UnknownInput", msg))
                 continue
         else:
             if src.name not in net.gates:
-                diags.append(
-                    _diag("UnknownGate", f"wire driven by unknown gate {src.name!r}")
-                )
+                msg = f"wire driven by unknown gate {src.name!r}"
+                diags.append(Diagnostic("UnknownGate", msg))
                 continue
             deps[w.gate].add(src.name)
         driven.setdefault((w.gate, w.slot), []).append(w)
@@ -109,29 +101,24 @@ def _diagnose(net: Netlist) -> tuple[list[Diagnostic], tuple[str, ...]]:
         for slot in range(cfg.n):
             ws = driven.get((name, slot), [])
             if not ws:
-                diags.append(
-                    _diag("UnwiredInput", f"gate {name!r} input slot {slot + 1} is not driven")
-                )
+                msg = f"gate {name!r} input slot {slot + 1} is not driven"
+                diags.append(Diagnostic("UnwiredInput", msg))
             elif len(ws) > 1:
                 srcs = ", ".join(w.source.describe() for w in ws)
-                diags.append(
-                    _diag(
-                        "MultiplyDriven",
-                        f"gate {name!r} input slot {slot + 1} driven by {srcs}",
-                    )
-                )
+                msg = f"gate {name!r} input slot {slot + 1} driven by {srcs}"
+                diags.append(Diagnostic("MultiplyDriven", msg))
 
     for gname, tap in net.primary_outputs:
         if gname not in net.gates:
-            diags.append(_diag("UnknownGate", f"output taps unknown gate {gname!r}"))
+            diags.append(Diagnostic("UnknownGate", f"output taps unknown gate {gname!r}"))
         if tap not in ("CA", "CO"):
-            diags.append(_diag("BadTap", f"output tap must be CA or CO, got {tap!r}"))
+            diags.append(Diagnostic("BadTap", f"output tap must be CA or CO, got {tap!r}"))
 
     try:
         order = tuple(graphlib.TopologicalSorter(deps).static_order())
     except graphlib.CycleError as e:
         cycle = " -> ".join(e.args[1])
-        diags.append(_diag("CycleError", f"gate dependency cycle: {cycle}"))
+        diags.append(Diagnostic("CycleError", f"gate dependency cycle: {cycle}"))
     return diags, order
 
 
@@ -150,7 +137,7 @@ def _evaluate(net: Netlist, columns) -> list[np.ndarray]:
         raise NetlistError(diags)
     if len(columns) != net.primary_inputs:
         msg = f"{len(columns)} input bits for {net.primary_inputs} primaries"
-        raise NetlistError([_diag("DimensionMismatch", msg)])
+        raise NetlistError([Diagnostic("DimensionMismatch", msg)])
     by_dest = {(w.gate, w.slot): w.source for w in net.wires}
     taps: dict[tuple[str, str], np.ndarray] = {}
 
@@ -159,8 +146,8 @@ def _evaluate(net: Netlist, columns) -> list[np.ndarray]:
 
     for name in order:
         cfg = net.gates[name]
-        ca = evaluate_patterns(cfg, [column(by_dest[(name, s)]) for s in range(cfg.n)])
-        taps[(name, "CA")], taps[(name, "CO")] = ca, 1 - ca
+        out = evaluate(cfg, [column(by_dest[(name, s)]) for s in range(cfg.n)])
+        taps[(name, "CA")], taps[(name, "CO")] = out.ca, out.co
     return [taps[(g, tap)] for g, tap in net.primary_outputs]
 
 
@@ -176,7 +163,5 @@ def network_truth_table(net: Netlist) -> list[TruthTable]:
     """One truth table per primary output, by exhaustive enumeration."""
     n = net.primary_inputs
     if n > 16:
-        raise NetlistError([_diag("FanIn", f"{n} primary inputs > 16")])
-    k = np.arange(2 ** n)
-    columns = [((k >> (n - 1 - i)) & 1).astype(np.int8) for i in range(n)]
-    return [TruthTable(n, col.tolist()) for col in _evaluate(net, columns)]
+        raise NetlistError([Diagnostic("FanIn", f"{n} primary inputs > 16")])
+    return [TruthTable(n, col.tolist()) for col in _evaluate(net, input_columns(n))]

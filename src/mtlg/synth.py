@@ -24,8 +24,8 @@ from .gate import (
     GateConfig,
     TieRule,
     TruthTable,
-    _corner_sums,
     bits_of_index,
+    input_columns,
 )
 
 # strictness floor for rows that must hold with strict inequality
@@ -92,9 +92,8 @@ def _margin_lp(tt: TruthTable, ratio: float | None):
     # one row per table row: sum(g) >= 1 + m for a 1 (-sum(g) + m <= -1),
     # sum(g) <= 1 - m for a 0 (sum(g) + m <= 1)
     sign = np.where(np.array(tt.outputs) == 1, -1.0, 1.0)
-    bits = (np.arange(rows)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # x1 = MSB
     a_ub = np.zeros((rows + 2 * n + (ratio is not None), n + 3))
-    a_ub[:rows, :n] = sign[:, None] * bits
+    a_ub[:rows, :n] = sign[:, None] * np.transpose(input_columns(n))
     a_ub[:rows, i_m] = 1.0
     i = np.arange(n)
     lo = rows + 2 * i  # then a row pair per g_i: mn <= g_i, g_i <= mx
@@ -240,7 +239,7 @@ def named_truth_table(name: str, n: int) -> tuple[TruthTable, str]:
     if not 1 <= n <= 10:
         raise ValueError(f"named targets need n in 1..10, got {n}")
     name = name.strip().upper()
-    ones = _corner_sums([1] * n, zero=0)  # active inputs of every row
+    ones = np.bitwise_count(np.arange(2 ** n))  # active inputs of every row
     if name.startswith("MAJ:"):
         k = int(name.split(":", 1)[1])
         if not (1 <= k <= n):
@@ -250,7 +249,7 @@ def named_truth_table(name: str, n: int) -> tuple[TruthTable, str]:
         i = int(name.split(":", 1)[1])
         if not (1 <= i <= n):
             raise ValueError(f"dictator index must be in 1..{n}, got {i}")
-        outs = (np.arange(2 ** n) >> (n - i)) & 1  # x1 is the MSB
+        outs = input_columns(n)[i - 1]
     elif name in ("AND", "NAND"):
         outs = ones == n
     elif name in ("OR", "NOR"):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gate import GateConfig, VoltageLevels, branch_currents, evaluate
+from .gate import GateConfig, VoltageLevels, _check_bits, branch_currents, evaluate
 
 MAX_SAMPLES = 10**7  # longest trace simulate builds, 80 MB per column
 
@@ -104,12 +104,14 @@ def simulate(
     t_eq = clock.duty_eq * clock.period
     t_eval = clock.period - t_eq
 
-    # per-cycle steady-state decision and settling
-    ca_wins, cycle_flags = [], []
-    for vec in input_sequence:
-        bc = branch_currents(config, vec)
-        ts = settle_time(bc.i_in - bc.i_th, params, lv)
-        ca_wins.append(evaluate(config, vec).ca == 1)
+    # steady-state decision of every cycle at once; settling per cycle, since
+    # the scalar math.log of settle_time fixes its last bit
+    bits = np.array([_check_bits(config, v) for v in input_sequence], bool).T  # (n, cycles)
+    bc = branch_currents(config, bits)
+    ca_wins = evaluate(config, bits).ca == 1
+    cycle_flags = []
+    for delta_i in (bc.i_in - bc.i_th).tolist():
+        ts = settle_time(delta_i, params, lv)
         cycle_flags.append(ts is not None and ts <= t_eval)
 
     # every sample at once: its cycle c and its offset into that cycle
@@ -127,10 +129,9 @@ def simulate(
     swing = v_mid * decay
     win = lv.v_dd - swing
     ramp = ~eq & resolved
-    ca_high = np.array(ca_wins)[c]
+    ca_high = ca_wins[c]
     ca = np.where(ramp, np.where(ca_high, win, swing), v_mid)
     co = np.where(ramp, np.where(ca_high, swing, win), v_mid)
-    bits = np.array(input_sequence, dtype=bool).T  # (n, cycles)
     return WaveformTrace(
         time=time,
         clk=np.where(eq, lv.v_high, lv.v_low),

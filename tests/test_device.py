@@ -142,3 +142,18 @@ class TestProgramToTarget:
         res = program_to_target(MemristorState(100e3, m), 40e3, tol_rel=0.02,
                                 max_pulses=500, rng=rng)
         assert abs(res.state.resistance - 40e3) <= 0.02 * 40e3
+
+
+class TestDeviceModel:
+    def test_reset_voltage_must_program(self):
+        # like v_set, v_reset must pass the programming threshold: a reset
+        # pulse below it never moves the device toward r_max, so programming
+        # upward could only time out
+        for v_reset in (-0.5, -1.0, 0.0):
+            with pytest.raises(ValueError, match="v_reset"):
+                DeviceModel(v_reset=v_reset)
+        with pytest.raises(ValueError, match="v_reset"):
+            DeviceModel(v_prog_threshold=2.5, v_set=3.0)  # default v_reset -2
+        m = DeviceModel(v_reset=-1.01)
+        res = program_to_target(MemristorState(20e3, m), 60e3)
+        assert abs(res.state.resistance - 60e3) <= 600

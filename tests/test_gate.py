@@ -18,7 +18,7 @@ from mtlg.gate import (
     decide,
     decision_hyperplane,
     evaluate,
-    evaluate_patterns,
+    input_columns,
     truth_table,
 )
 from oracles import exact_branch_currents, exact_ca, exact_truth_table
@@ -71,6 +71,16 @@ class TestEvaluate:
         for k in range(8):
             bits = bits_of_index(k, 3)
             assert evaluate(cfg, bits).ca == bits[1]  # f = x2
+
+    def test_one_vector_types_and_column_checks(self):
+        out, bc = evaluate(OR3_HW, (1, 0, 1)), branch_currents(OR3_HW, (1, 0, 1))
+        assert type(out.ca) is int and type(out.co) is int
+        assert type(bc.i_in) is float and type(bc.i_th) is float
+        cols = input_columns(3)
+        with pytest.raises(DimensionMismatchError):
+            evaluate(OR3_HW, cols[:2])
+        with pytest.raises(ValueError, match="0/1"):
+            evaluate(OR3_HW, [cols[0], cols[1], np.full(8, 2, np.int8)])
 
 
 class TestTruthTable:
@@ -149,7 +159,7 @@ class TestTruthTable:
                     edges += 1
                     ca = evaluate(cfg, ones).ca
                     assert truth_table(cfg).outputs[-1] == ca
-                    assert evaluate_patterns(cfg, [np.ones(1, np.int8)] * 6)[0] == ca
+                    assert evaluate(cfg, [np.ones(1, np.int8)] * 6).ca[0] == ca
                     break
                 m_t = np.nextafter(m_t, 0.0)
         assert edges >= 30

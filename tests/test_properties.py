@@ -1,6 +1,7 @@
 """Property-based invariants over random gate configurations and devices."""
 
 import math
+import struct
 
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +11,9 @@ from mtlg.gate import (
     TieRule,
     VoltageLevels,
     bits_of_index,
+    branch_currents,
     evaluate,
+    input_columns,
     truth_table,
 )
 from mtlg.transient import TransientParams, settle_time
@@ -99,8 +102,14 @@ class TestGateInvariants:
     @given(st.one_of(gate_configs(max_n=8), near_tie_configs()))
     def test_truth_table_agrees_with_rowwise_evaluate(self, cfg):
         tt = truth_table(cfg)
+        columns = input_columns(cfg.n)
+        ca = evaluate(cfg, columns).ca
+        i_in = branch_currents(cfg, columns).i_in.tolist()
         for k in range(2 ** cfg.n):
-            assert tt.outputs[k] == evaluate(cfg, bits_of_index(k, cfg.n)).ca
+            bits = bits_of_index(k, cfg.n)
+            assert tt.outputs[k] == ca[k] == evaluate(cfg, bits).ca
+            want = branch_currents(cfg, bits).i_in
+            assert struct.pack("<d", i_in[k]) == struct.pack("<d", want)
 
 
 class TestDeviceInvariants:
