@@ -58,14 +58,8 @@ class GateConfig:
     tie_rule: TieRule = TieRule.INPUT_WINS
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "input_memristances", tuple(float(m) for m in self.input_memristances)
-        )
-        object.__setattr__(
-            self,
-            "threshold_memristances",
-            tuple(float(m) for m in self.threshold_memristances),
-        )
+        for name in ("input_memristances", "threshold_memristances"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if len(self.input_memristances) < 1 or len(self.threshold_memristances) < 1:
             raise ValueError("need at least one input and one threshold memristance")
         if len(self.input_memristances) > MAX_FAN_IN:
@@ -109,11 +103,14 @@ class TruthTable:
     outputs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "outputs", tuple(map(int, self.outputs)))
-        if len(self.outputs) != 2 ** self.n:
-            raise ValueError(f"expected {2 ** self.n} outputs, got {len(self.outputs)}")
-        if not set(self.outputs) <= {0, 1}:
+        out = np.asarray(self.outputs)  # any sequence or array of 0/1 numbers
+        if out.dtype.kind in "SU":  # np.asarray reads "0110" as one string
+            raise ValueError("outputs must be 0/1 numbers, not text (see from_bitstring)")
+        if out.shape != (2 ** self.n,):
+            raise ValueError(f"expected {2 ** self.n} outputs, got shape {out.shape}")
+        if not ((out == 0) | (out == 1)).all():
             raise ValueError("outputs must be 0/1")
+        object.__setattr__(self, "outputs", tuple(out.astype(np.int8).tobytes()))
 
     @staticmethod
     def from_bitstring(s: str, n: int | None = None) -> "TruthTable":
@@ -129,7 +126,7 @@ class TruthTable:
         return "".join(str(b) for b in reversed(self.outputs))
 
     def complement(self) -> "TruthTable":
-        return TruthTable(self.n, tuple(1 - b for b in self.outputs))
+        return TruthTable(self.n, 1 - np.array(self.outputs, dtype=np.int8))
 
 
 def bits_of_index(k: int, n: int) -> tuple[int, ...]:
@@ -242,7 +239,7 @@ def truth_table(config: GateConfig) -> TruthTable:
     g, g_t = _conductances(config)
     v = config.levels.v_dd
     ca = decide(v * _corner_sums(g), v * g_t, config.tie_rule)
-    return TruthTable(config.n, ca.tolist())
+    return TruthTable(config.n, ca)
 
 
 def classify(tt: TruthTable) -> GateClass:

@@ -164,4 +164,4 @@ def network_truth_table(net: Netlist) -> list[TruthTable]:
     n = net.primary_inputs
     if n > 16:
         raise NetlistError([Diagnostic("FanIn", f"{n} primary inputs > 16")])
-    return [TruthTable(n, col.tolist()) for col in _evaluate(net, input_columns(n))]
+    return [TruthTable(n, col) for col in _evaluate(net, input_columns(n))]

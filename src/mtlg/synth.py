@@ -258,4 +258,4 @@ def named_truth_table(name: str, n: int) -> tuple[TruthTable, str]:
         outs = ones % 2 if name == "XOR" else 1 - ones % 2
     else:
         raise ValueError(f"unknown target name {name!r}")
-    return TruthTable(n, outs.tolist()), "CO" if name in ("NAND", "NOR") else "CA"
+    return TruthTable(n, outs), "CO" if name in ("NAND", "NOR") else "CA"

@@ -406,3 +406,52 @@ class TestGoldenCsv:
         code, out, err = run(capsys, *(a.replace("{config}", str(config)) for a in argv))
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+TWO_GATE_NETLIST = """\
+inputs: 3
+gates:
+  - name: and1
+    inputs: [60.5k, 60k]
+    threshold: [33k]
+  - name: or2
+    inputs: [33.8k, 18.3k]
+    threshold: [41.6k]
+wires:
+  - {from: in1, to: and1.1}
+  - {from: in2, to: and1.2}
+  - {from: and1.CO, to: or2.1}
+  - {from: in3, to: or2.2}
+outputs: [or2.CA, and1.CO]
+"""
+
+# integer weights 1,2,3 (x4) against 6 + 3 = 9, in units of 1/60k: every row
+# whose weights add to exactly 9 is a tie
+TIES_N12 = ",".join(["60k", "30k", "20k"] * 4) + ";10k,20k"
+
+
+class TestGoldenTruth:
+    """Exit code and SHA-256 of the stdout of fixed truth runs, recorded while
+    TruthTable still converted and checked its outputs one row at a time."""
+
+    CASES = {
+        "gate_n3": (["truth", "--weights", "60k,45k,30k;40k"],
+                    "f9b9d1d7c6f279f6e1c09e541e5908fc951658a6f273fea1b9367e556079335e"),
+        "ties_n12_input_wins": (
+            ["truth", "--weights", TIES_N12, "--tie-rule", "input_wins"],
+            "7932b5c8c903004512d65f0c51582776c454547e8e14833ec4721c3a9570183f"),
+        "ties_n12_threshold_wins": (
+            ["truth", "--weights", TIES_N12, "--tie-rule", "threshold_wins"],
+            "24e6b8574b89b1743480f6ed59818c94e8a805018344da0e795a125599b4d86f"),
+        "netlist_co_tap": (["truth", "--netlist", "{netlist}"],
+                           "b29ec11e1d93326437fa5def434a98d6a00b96d15e8db7476a0d66ac30f1dadb"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_stdout_digest(self, capsys, tmp_path, name):
+        argv, digest = self.CASES[name]
+        netlist = tmp_path / "two_gate.yaml"
+        netlist.write_text(TWO_GATE_NETLIST)
+        code, out, err = run(capsys, *(a.replace("{netlist}", str(netlist)) for a in argv))
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -118,6 +118,40 @@ class TestTruthTable:
         assert tt.outputs == (0, 0, 0, 1)
         assert tt.to_bitstring() == "1000"
 
+    def test_wrong_length_rejected(self):
+        for outs in ((0, 1, 1), (0, 1, 1, 0, 1), [[0, 1], [1, 0]]):
+            with pytest.raises(ValueError, match="expected 4 outputs"):
+                TruthTable(2, outs)
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.7, None])
+    def test_non_binary_output_rejected(self, bad):
+        with pytest.raises(ValueError, match="outputs must be 0/1"):
+            TruthTable(2, (0, 1, bad, 1))
+        for outs in ([bad] * 4, bad):
+            with pytest.raises(ValueError):
+                TruthTable(2, outs)
+
+    @pytest.mark.parametrize("text", ["0110", b"0110", ["0", "1", "1", "0"]])
+    def test_text_rejected_with_its_own_message(self, text):
+        with pytest.raises(ValueError, match="not text"):
+            TruthTable(2, text)
+
+    def test_input_types_give_equal_tables(self):
+        bits = [0, 1, 1, 0, 1, 0, 0, 1]
+        want = TruthTable(3, tuple(bits))
+        for outs in (bits, np.array(bits, dtype=bool), np.array(bits, dtype=np.int8),
+                     np.array(bits, dtype=np.int64), np.array(bits, dtype=float)):
+            tt = TruthTable(3, outs)
+            assert tt == want and hash(tt) == hash(want)
+            assert all(type(o) is int for o in tt.outputs)
+        assert repr(want) == "TruthTable(n=3, outputs=(0, 1, 1, 0, 1, 0, 0, 1))"
+
+    def test_producers_store_python_ints(self):
+        tts = [truth_table(OR3_HW), truth_table(OR3_HW).complement(),
+               TruthTable.from_bitstring("0110")]
+        assert all(type(o) is int for tt in tts for o in tt.outputs)
+        assert repr(tts[1]) == "TruthTable(n=3, outputs=(1, 0, 0, 0, 0, 0, 0, 0))"
+
     @pytest.mark.parametrize("rule", list(TieRule))
     def test_n16_integer_weights_with_exact_ties(self, rule):
         # 100800 ohm is divisible by 1..9: weight w draws w / 100800 siemens,

@@ -151,6 +151,7 @@ class TestNetworkTruthTable:
         ca = network_truth_table(single_gate_net(AND_HW, "CA"))[0]
         co = network_truth_table(single_gate_net(AND_HW, "CO"))[0]
         assert co.outputs == tuple(1 - b for b in ca.outputs)
+        assert all(type(b) is int for b in ca.outputs + co.outputs)
 
     def test_empty_outputs(self):
         net = Netlist(

@@ -301,4 +301,6 @@ class TestNamedTargets:
             **{f"DICT:{i}": ([b[i - 1] for b in rows], "CA") for i in range(1, n + 1)},
         }
         for name, (outs, tap) in want.items():
-            assert named_truth_table(f" {name.lower()}", n) == (TruthTable(n, outs), tap)
+            got = named_truth_table(f" {name.lower()}", n)
+            assert got == (TruthTable(n, outs), tap)
+            assert all(type(b) is int for b in got[0].outputs)
