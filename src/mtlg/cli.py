@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from dataclasses import replace
 
@@ -202,6 +203,7 @@ def cmd_program(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mtlg",
@@ -222,25 +224,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="evaluate one input vector")
     common(sp)
     sp.add_argument("--input", required=True, help="bit string, e.g. 11")
-    sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("truth", help="full truth table with classification")
     common(sp)
     sp.add_argument("--netlist", help="netlist file instead of a single gate")
-    sp.set_defaults(func=cmd_truth)
 
     sp = sub.add_parser("boundary", help="decision-boundary grid over [0,1]^n")
     common(sp)
     sp.add_argument("--res", type=int, default=101, help="grid resolution per axis")
     sp.add_argument("--out", help="output CSV path (default stdout)")
-    sp.set_defaults(func=cmd_boundary)
 
     sp = sub.add_parser("wave", help="two-phase transient waveform CSV")
     common(sp)
     sp.add_argument("--inputs", required=True,
                     help="comma-separated input vectors, one per clock cycle")
     sp.add_argument("--out", help="output CSV path (default stdout)")
-    sp.set_defaults(func=cmd_wave)
 
     sp = sub.add_parser("synth", help="synthesize weights for a Boolean target")
     common(sp, gate=False)
@@ -253,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="write the synthesized gate config here")
     sp.add_argument("--quantized", action="store_true",
                     help="write the quantized config instead of the continuous one")
-    sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("program", help="closed-loop device programming emulation")
     common(sp, gate=False)
@@ -261,18 +258,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--start", help="starting resistance (default r_max)")
     sp.add_argument("--tol", type=float, default=0.01, help="relative tolerance")
     sp.add_argument("--max-pulses", dest="max_pulses", type=int, default=200)
-    sp.set_defaults(func=cmd_program)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_USAGE
     try:
-        return args.func(args)
+        # by name at call time: the parser is built once, and a wrapper put on
+        # a cmd_* attribute of this module afterwards must still be called
+        return globals()[f"cmd_{args.command}"](args)
     except (files.ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

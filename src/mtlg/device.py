@@ -23,9 +23,6 @@ class ProgramTimeoutError(Exception):
             f"did not reach {target:.6g} ohm within {pulses} pulses "
             f"(stuck at {resistance:.6g} ohm)"
         )
-        self.target = target
-        self.resistance = resistance
-        self.pulses = pulses
 
 
 @dataclass(frozen=True)

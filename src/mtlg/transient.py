@@ -151,19 +151,21 @@ _BLOCK_ROWS = 4096  # rows formatted and written per block
 def write_rows(fh, columns) -> None:
     """Write equal-length numeric columns as CSV rows, every value as %.9g.
 
-    Rows go out in blocks of a fixed size. Within a block each distinct value
-    of a column (by bit pattern, so -0.0 and 0.0 stay apart) is formatted once.
+    Rows go out in blocks of a fixed size, each written as one join. Within a
+    block each distinct value of a column (by bit pattern, so -0.0 and 0.0 stay
+    apart) is formatted once, with the separator that follows it.
     """
     columns = [np.asarray(col, dtype=float) for col in columns]
+    ends = [","] * (len(columns) - 1) + ["\n"]
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        cells = []
-        for col in columns:
+        cells = np.empty((min(_BLOCK_ROWS, len(columns[0]) - start), len(columns)), object)
+        for j, (col, end) in enumerate(zip(columns, ends)):
             values, index = np.unique(
                 col[start:start + _BLOCK_ROWS].view(np.int64), return_inverse=True
             )
-            text = [f"{v:.9g}" for v in values.view(float).tolist()]
-            cells.append(map(text.__getitem__, index.tolist()))
-        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            text = map(f"%.9g{end}".__mod__, values.view(float).tolist())
+            cells[:, j] = np.fromiter(text, object, len(values))[index]
+        fh.write("".join(cells.ravel().tolist()))
 
 
 def write_csv(trace: WaveformTrace, fh) -> None:

@@ -2,7 +2,8 @@ import hashlib
 
 import pytest
 
-from mtlg.cli import main
+from mtlg import cli
+from mtlg.cli import build_parser, main
 
 XOR_NETLIST = """\
 inputs: 2
@@ -174,6 +175,27 @@ class TestWave:
                              "--weights", "60k,30k;40k", "--inputs", "01")
         assert code == 3 and out == ""
         assert err.startswith("error: trace of 2e+09 samples exceeds 10000000")
+
+    def test_no_option_leaks_into_the_next_call(self, capsys, tmp_path):
+        # the parser is built once per process and serves every call
+        cfg = tmp_path / "slow_latch.yaml"
+        cfg.write_text("transient: {tau_s: 2e-5}\n")
+        argv = ["wave", "--weights", "60.5k,60k;33k", "--inputs", "00,01,10,11"]
+        build_parser.cache_clear()
+        first = run(capsys, *argv)
+        other = run(capsys, *argv, "--tie-rule", "threshold_wins", "--config", str(cfg))
+        assert first[0] == other[0] == 0 and other[1] != first[1]
+        assert run(capsys, *argv) == first
+
+    def test_command_found_by_name_at_call_time(self, capsys, monkeypatch):
+        # a wrapper put on the module after the parser is built still runs,
+        # as the traced benchmark run relies on
+        build_parser()
+        calls = []
+        real = cli.cmd_wave
+        monkeypatch.setattr(cli, "cmd_wave", lambda args: calls.append(args) or real(args))
+        code, out, _ = run(capsys, "wave", "--weights", "60k,30k;40k", "--inputs", "01")
+        assert code == 0 and out.startswith("t_s,") and len(calls) == 1
 
 
 class TestSynth:
@@ -372,7 +394,8 @@ class TestBadInput:
 
 class TestGoldenCsv:
     """SHA-256 of the stdout of fixed wave and boundary runs, recorded before
-    the sampler and the CSV writers worked on arrays."""
+    the sampler and the CSV writers worked on arrays; the two block-edge cases
+    were recorded while write_rows still joined each row on its own."""
 
     CASES = {
         "wave_n1": (["wave", "--weights", "50k;60k", "--inputs", "1,0,1,1,0"],
@@ -396,6 +419,13 @@ class TestGoldenCsv:
                                "a140002f2050727941e9f71b9bfbe32633cc6a950e53313e2b13fcae3ef7f5ef"),
         "boundary_n3_res41": (["boundary", "--weights", "60k,45k,30k;40k", "--res", "41"],
                               "50b5a44f24c376c5f01030aa1595d178861da7d721838140ab8f002833e9725a"),
+        # 64 x 64 = 4096 rows: exactly one full block of write_rows
+        "boundary_n2_res64": (["boundary", "--weights", "3M,3M;4M", "--res", "64"],
+                              "e74675ce0b5df9fb0d96daa680dd9eed66dbcf0625110da47efa5cb552ecc841"),
+        # 21 cycles x 200 samples = 4200 rows: crosses one block edge
+        "wave_n2_21_cycles": (["wave", "--weights", "60.5k,60k;33k",
+                               "--inputs", ",".join(["00", "01", "10", "11"] * 5 + ["01"])],
+                              "66777ccddf5354d1bd2076e293800888965bb48e9958e1075ac97affdfbb2c94"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtlg.gate import GateConfig, TieRule, VoltageLevels, branch_currents, evaluate
 from mtlg.transient import (
@@ -161,6 +162,21 @@ class TestReferenceSampler:
         assert tr.cycle_resolved == (True, False)
 
 
+def reference_rows(cols) -> str:
+    """Every value formatted on its own, every row joined on its own."""
+    return "".join(",".join(f"{float(v):.9g}" for v in row) + "\n" for row in zip(*cols))
+
+
+# bit patterns that print alike or apart for reasons other than their value:
+# signed zeros and infinities, NaNs of both signs with different payloads,
+# the smallest subnormals and the largest finite values
+SPECIAL_BITS = np.array([
+    0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF80000DEADBEEF,
+    0x0000000000000001, 0x8000000000000001, 0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF,
+], dtype=np.uint64).view(np.int64)
+
+
 class TestWriteRows:
     def test_matches_per_value_formatting_across_blocks(self):
         rng = np.random.default_rng(3)
@@ -172,9 +188,47 @@ class TestWriteRows:
         ]
         buf = io.StringIO()
         write_rows(buf, cols)
-        want = "".join(",".join(f"{float(v):.9g}" for v in row) + "\n"
-                       for row in zip(*cols))
-        assert buf.getvalue() == want
+        assert buf.getvalue() == reference_rows(cols)
+
+    @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 8193])
+    def test_block_edges(self, rows):
+        cols = [np.arange(rows) * 1e-5, np.arange(rows) % 7 - 3.5,
+                np.arange(rows) % 3 == 0]
+        buf = io.StringIO()
+        write_rows(buf, cols)
+        assert buf.getvalue() == reference_rows(cols)
+
+    def test_single_column_ends_each_row(self):
+        buf = io.StringIO()
+        write_rows(buf, [np.array([1.5, -0.0, 1.5, 2e-7])])
+        assert buf.getvalue() == "1.5\n-0\n1.5\n2e-07\n"
+
+    def test_int8_and_bool_columns(self):
+        buf = io.StringIO()
+        write_rows(buf, [np.array([1, 0, 1], np.int8), np.array([True, False, False])])
+        assert buf.getvalue() == "1,1\n0,0\n1,0\n"
+
+    def test_nan_bit_patterns_print_alike(self):
+        nans = SPECIAL_BITS[[4, 5, 6, 7]].view(float)
+        assert len(np.unique(nans.view(np.int64))) == 4
+        buf = io.StringIO()
+        write_rows(buf, [nans, nans[::-1]])
+        assert buf.getvalue() == "nan,nan\n" * 4
+
+    @given(st.integers(1, 3 * 4096), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_reference_for_any_shape(self, rows, n_cols, seed):
+        # each column draws from a small pool of bit patterns, so values
+        # repeat within a block, or from all of them, so nearly none repeat
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([SPECIAL_BITS, rng.integers(-2**63, 2**63, 20, np.int64)])
+        cols = [rng.choice(pool, rows) if rng.random() < 0.5
+                else rng.integers(-2**63, 2**63, rows, np.int64)
+                for _ in range(n_cols)]
+        cols = [c.view(float) for c in cols]
+        buf = io.StringIO()
+        write_rows(buf, cols)
+        assert buf.getvalue() == reference_rows(cols)
 
     def test_no_rows_writes_nothing(self):
         buf = io.StringIO()
