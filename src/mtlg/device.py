@@ -8,6 +8,7 @@ never change state.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -138,42 +139,44 @@ class ProgramResult:
     pulses: int
 
 
-def _plan_error(g0: float, gt: float, big_g: float, sf: float, k: int) -> tuple[list[int], float]:
-    """Pulse schedule of length k driving gap g0 (above r_min) toward gt.
+def _plan_error(g0: float, gt: float, unit: float, qk: list[float], k: int):
+    """First digit and absolute gap error of the length-k schedule driving gap g0
+    (above r_min) toward gt.
 
-    Each pulse multiplies the gap by q = 1 - sf; a reset pulse additionally adds
-    sf * big_g. The schedule is the digit vector d (1 = reset, 0 = set), chosen
-    greedily from the heaviest digit (the last pulse) down. Returns (digits,
-    absolute gap error).
+    Each pulse multiplies the gap by q = 1 - sf (qk[i] is q ** i); a reset pulse
+    also adds unit = sf * (r_max - r_min). The digits (1 = reset, 0 = set) are
+    chosen greedily from the heaviest (the last pulse) down.
     """
-    q = 1.0 - sf
-    need = (gt - q ** k * g0) / (sf * big_g)
-    digits = [0] * k
-    if need < 0:
-        # even an all-set schedule overshoots; error is what remains
-        return digits, abs(gt - q ** k * g0)
-    for j in range(k, 0, -1):  # digit weight q^(k-j): last pulse weighs most
-        w = q ** (k - j)
-        if need >= w:
-            digits[j - 1] = 1
+    need = (gt - qk[k] * g0) / unit
+    if need < 0:  # even an all-set schedule overshoots; error is what remains
+        return False, abs(gt - qk[k] * g0)
+    for w in qk[:k]:  # weights q^0 (last pulse) up to q^(k-1) (first pulse)
+        first = need >= w
+        if first:
             need -= w
-    return digits, sf * big_g * need
+    return first, unit * need
 
 
-def _plan(state: MemristorState, target: float, tol_abs: float, budget: int):
-    """Shortest schedule within the pulse budget whose predicted error fits tol."""
+def _plan(state: MemristorState, target: float, tol_abs: float, budget: int,
+          qk: list[float]):
+    """First pulse of the shortest schedule within the pulse budget whose
+    predicted error fits tol, else of the first one with the least error."""
     m = state.model
-    g0 = state.resistance - m.r_min
-    gt = target - m.r_min
-    big_g = m.r_max - m.r_min
+    g0, gt, q = state.resistance - m.r_min, target - m.r_min, 1.0 - m.step_fraction
+    unit = m.step_fraction * (m.r_max - m.r_min)
+    # all-set schedules overshooting by more than tol come first (the gap left
+    # shrinks with k): start at the last of them, the least error among them
+    start = bisect.bisect(range(1, budget + 1), False, key=lambda k: not (
+        (gt - q ** k * g0) / unit < 0 and abs(gt - q ** k * g0) > tol_abs))
     best = None
-    for k in range(1, budget + 1):
-        digits, err = _plan_error(g0, gt, big_g, m.step_fraction, k)
+    for k in range(max(start, 1), budget + 1):
+        qk.extend(q ** i for i in range(len(qk), k + 1))
+        first, err = _plan_error(g0, gt, unit, qk, k)
         if err <= tol_abs:
-            return digits
+            return first
         if best is None or err < best[1]:
-            best = (digits, err)
-    return best[0] if best else None
+            best = (first, err)
+    return best[0]
 
 
 def program_to_target(
@@ -191,23 +194,20 @@ def program_to_target(
     """
     m = state.model
     if not (m.r_min <= target <= m.r_max):
-        raise ValueError(
-            f"target {target:.6g} outside [{m.r_min:.6g}, {m.r_max:.6g}]"
-        )
-    if not (tol_rel > 0):
-        raise ValueError("tol_rel must be > 0")
+        raise ValueError(f"target {target:.6g} outside [{m.r_min:.6g}, {m.r_max:.6g}]")
+    if not (0 < tol_rel < np.inf and max_pulses >= 0):
+        raise ValueError(f"require finite tol_rel > 0 and max_pulses >= 0, "
+                         f"got {tol_rel}, {max_pulses}")
     v_read = 0.5 * m.v_prog_threshold
-    set_pulse = PulseSpec(m.v_set)
-    reset_pulse = PulseSpec(m.v_reset)
+    set_pulse, reset_pulse = PulseSpec(m.v_set), PulseSpec(m.v_reset)
     tol_abs = tol_rel * target
-    pulses = 0
+    pulses, qk = 0, []  # qk[i] is q ** i, grown as far as the planner looks
     while True:
         measured = v_read / read_current(state, v_read)
         if abs(measured - target) <= tol_abs:
             return ProgramResult(state=state, pulses=pulses)
         if pulses >= max_pulses:
             raise ProgramTimeoutError(target, state.resistance, pulses)
-        schedule = _plan(state, target, tol_abs, max_pulses - pulses)
-        pulse = reset_pulse if schedule and schedule[0] else set_pulse
-        state = apply_pulse(state, pulse, rng)
+        reset = _plan(state, target, tol_abs, max_pulses - pulses, qk)
+        state = apply_pulse(state, reset_pulse if reset else set_pulse, rng)
         pulses += 1

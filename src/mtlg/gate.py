@@ -16,6 +16,7 @@ import numpy as np
 TIE_EPS_REL = 1e-9
 
 MAX_FAN_IN = 16
+MAX_GRID_POINTS = 10**7  # largest boundary grid, as many as the longest trace
 
 
 class TieRule(Enum):
@@ -305,13 +306,15 @@ class BoundaryMap:
 def boundary_grid(config: GateConfig, resolution: int) -> BoundaryMap:
     """Map the decision boundary over relaxed activations in [0,1]^n.
 
-    Grid export is limited to n in {2, 3}; for higher fan-in use
-    decision_hyperplane directly.
+    Grid export is limited to n in {2, 3} and MAX_GRID_POINTS points; for
+    higher fan-in use decision_hyperplane directly.
     """
     if config.n not in (2, 3):
         raise FanInError(f"grid export supports n in {{2, 3}}, got n={config.n}")
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
+    if resolution ** config.n > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {resolution}^{config.n} points exceeds {MAX_GRID_POINTS}")
     g, g_t = decision_hyperplane(config)
     axes = tuple(np.linspace(0.0, 1.0, resolution) for _ in range(config.n))
     # sparse axes broadcast to the full grid in the sum, which adds the same

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .device import DeviceModel, quantize
 from .gate import (
@@ -45,8 +44,9 @@ class SynthesisSpec:
     min_margin_rel: float = 0.05
 
     def __post_init__(self):
-        if not (self.min_margin_rel >= 0):
-            raise ValueError("min_margin_rel must be >= 0")
+        if not (0 <= self.min_margin_rel < math.inf):
+            raise ValueError(f"min_margin_rel must be >= 0 and finite, "
+                             f"got {self.min_margin_rel}")
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,7 @@ def _margin_lp(tt: TruthTable, ratio: float | None):
     max(g, 1) <= ratio * min(g, 1) keeps the solution rescalable onto the
     device conductance box. Returns (margin, conductances) or (None, None).
     """
+    from scipy.optimize import linprog  # on first use: most of `import mtlg` time
     n = tt.n
     rows = 2 ** n
     i_m, i_mn, i_mx = n, n + 1, n + 2

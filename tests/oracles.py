@@ -12,6 +12,10 @@ loop, one sample at a time.
 adds the conductances of each row as Fractions, one row at a time.
 ``reference_witness`` checks the array search for an infeasibility witness in
 ``mtlg.synth`` with a loop over rows and bits.
+
+``reference_program_to_target`` is ``mtlg.device.program_to_target`` as it was
+before the planner skipped schedules it can rule out: it replans by trying every
+schedule length from 1 up and builds each schedule's full digit list.
 """
 
 import math
@@ -19,6 +23,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from mtlg.device import (
+    MemristorState,
+    ProgramResult,
+    ProgramTimeoutError,
+    PulseSpec,
+    apply_pulse,
+    read_current,
+)
 from mtlg.gate import (
     GateConfig,
     TieRule,
@@ -200,3 +212,78 @@ def reference_witness(tt: TruthTable):
             if tt.outputs[low] == 1:
                 return (bits_of_index(low, n), bits_of_index(k, n))
     return None
+
+
+def reference_plan_error(g0: float, gt: float, big_g: float, sf: float, k: int) -> tuple[list[int], float]:
+    """Pulse schedule of length k driving gap g0 (above r_min) toward gt.
+
+    Each pulse multiplies the gap by q = 1 - sf; a reset pulse additionally adds
+    sf * big_g. The schedule is the digit vector d (1 = reset, 0 = set), chosen
+    greedily from the heaviest digit (the last pulse) down. Returns (digits,
+    absolute gap error).
+    """
+    q = 1.0 - sf
+    need = (gt - q ** k * g0) / (sf * big_g)
+    digits = [0] * k
+    if need < 0:
+        # even an all-set schedule overshoots; error is what remains
+        return digits, abs(gt - q ** k * g0)
+    for j in range(k, 0, -1):  # digit weight q^(k-j): last pulse weighs most
+        w = q ** (k - j)
+        if need >= w:
+            digits[j - 1] = 1
+            need -= w
+    return digits, sf * big_g * need
+
+
+def reference_plan(state: MemristorState, target: float, tol_abs: float, budget: int):
+    """Shortest schedule within the pulse budget whose predicted error fits tol."""
+    m = state.model
+    g0 = state.resistance - m.r_min
+    gt = target - m.r_min
+    big_g = m.r_max - m.r_min
+    best = None
+    for k in range(1, budget + 1):
+        digits, err = reference_plan_error(g0, gt, big_g, m.step_fraction, k)
+        if err <= tol_abs:
+            return digits
+        if best is None or err < best[1]:
+            best = (digits, err)
+    return best[0] if best else None
+
+
+def reference_program_to_target(
+    state: MemristorState,
+    target: float,
+    tol_rel: float = 0.01,
+    max_pulses: int = 200,
+    rng: np.random.Generator | None = None,
+) -> ProgramResult:
+    """Closed-loop pulse-and-verify programming toward a target resistance.
+
+    Every iteration verifies with a safe read, replans the remaining pulse
+    schedule from the measured state, and applies the next pulse. Raises
+    ProgramTimeoutError if the tolerance band is not reached in max_pulses.
+    """
+    m = state.model
+    if not (m.r_min <= target <= m.r_max):
+        raise ValueError(
+            f"target {target:.6g} outside [{m.r_min:.6g}, {m.r_max:.6g}]"
+        )
+    if not (tol_rel > 0):
+        raise ValueError("tol_rel must be > 0")
+    v_read = 0.5 * m.v_prog_threshold
+    set_pulse = PulseSpec(m.v_set)
+    reset_pulse = PulseSpec(m.v_reset)
+    tol_abs = tol_rel * target
+    pulses = 0
+    while True:
+        measured = v_read / read_current(state, v_read)
+        if abs(measured - target) <= tol_abs:
+            return ProgramResult(state=state, pulses=pulses)
+        if pulses >= max_pulses:
+            raise ProgramTimeoutError(target, state.resistance, pulses)
+        schedule = reference_plan(state, target, tol_abs, max_pulses - pulses)
+        pulse = reset_pulse if schedule and schedule[0] else set_pulse
+        state = apply_pulse(state, pulse, rng)
+        pulses += 1

@@ -1,7 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import mtlg
 from mtlg import cli
 from mtlg.cli import build_parser, main
 
@@ -136,6 +142,18 @@ class TestBoundary:
         code, _, _ = run(capsys, "boundary", "--weights", "3M,3M;4M", "--res", "0",
                          "--out", str(out_file))
         assert code == 2 and out_file.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("weights, res", [("3M,3M;4M", "3163"),
+                                              ("10k,10k,10k;15k", "216"),
+                                              ("10k,10k,10k;15k", "3000")])
+    def test_grid_over_max_points_exit_2_before_output(self, capsys, tmp_path,
+                                                       weights, res):
+        # --res 3000 on three inputs once ended in a 201 GiB allocation error
+        out_file = tmp_path / "grid.csv"
+        code, out, err = run(capsys, "boundary", "--weights", weights, "--res", res,
+                             "--out", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err.startswith("error: grid of ") and "points exceeds 10000000" in err
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -293,6 +311,17 @@ class TestProgram:
         code, _, err = run(capsys, "program", "--target", "33k", "--max-pulses", "1")
         assert code == 3 and err.startswith("error: did not reach 33000 ohm")
 
+    @pytest.mark.parametrize("option, value", [
+        ("--tol", "inf"), ("--tol", "nan"), ("--tol", "0"), ("--tol", "-0.01"),
+        ("--max-pulses", "-5"),
+    ])
+    def test_bad_tolerance_or_budget_exit_3(self, capsys, option, value):
+        # --tol inf once took any start as in band and exited 0 after 0 pulses;
+        # --max-pulses -5 once failed "within 0 pulses"
+        code, out, err = run(capsys, "program", "--target", "33k", option, value)
+        assert code == 3 and out == ""
+        assert err.startswith("error: require finite tol_rel > 0 and max_pulses >= 0")
+
 
 class TestConfigFile:
     def test_config_drives_device_profile(self, capsys, tmp_path):
@@ -378,6 +407,8 @@ class TestBadInput:
         "margin_nan": (None, (*SYNTH_AND, "--margin", "nan"), "min_margin_rel must be >= 0"),
         "margin_negative": (None, (*SYNTH_AND, "--margin", "-1"),
                             "min_margin_rel must be >= 0"),
+        "margin_inf": (None, (*SYNTH_AND, "--margin", "inf"),
+                       "min_margin_rel must be >= 0 and finite, got inf"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -485,3 +516,39 @@ class TestGoldenTruth:
         code, out, err = run(capsys, *(a.replace("{netlist}", str(netlist)) for a in argv))
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestScipyLoadedOnFirstSynthesis:
+    """Only the synthesis LP needs SciPy, and importing it takes most of the
+    start-up time of a command: it stays unloaded until the first LP solve."""
+
+    SCRIPT = textwrap.dedent("""\
+        import contextlib, io, sys
+        import mtlg
+        from mtlg import cli
+        commands = [
+            ["eval", "--weights", "60.5k,60k;33k", "--input", "11"],
+            ["truth", "--weights", "31.5k,30k,28.2k;68.2k"],
+            ["boundary", "--weights", "3M,3M;2.5M", "--res", "11"],
+            ["wave", "--weights", "60.5k,60k;33k", "--inputs", "00,11"],
+            ["program", "--target", "33k"],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv) for argv in commands]
+        assert codes == [0] * 5, codes
+        assert "scipy" not in sys.modules, "scipy loaded before any synthesis"
+        from mtlg.synth import check_separability, named_truth_table
+        feasible, _ = check_separability(named_truth_table("AND", 2)[0])
+        assert feasible
+        assert "scipy.optimize" in sys.modules
+        print("ok")
+        """)
+
+    def test_commands_without_synthesis_leave_scipy_unloaded(self):
+        src = str(Path(mtlg.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path},
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"

@@ -14,6 +14,7 @@ from mtlg.device import (
     quantize,
     read_current,
 )
+from oracles import reference_program_to_target
 
 
 def state(r, **model_kwargs):
@@ -142,6 +143,44 @@ class TestProgramToTarget:
         res = program_to_target(MemristorState(100e3, m), 40e3, tol_rel=0.02,
                                 max_pulses=500, rng=rng)
         assert abs(res.state.resistance - 40e3) <= 0.02 * 40e3
+
+
+def _programming_outcome(fn, start, target, tol_rel, max_pulses, seed):
+    """(resistance.hex(), pulses) or the error, plus the next draw of the rng."""
+    rng = None if seed is None else np.random.default_rng(seed)
+    try:
+        res = fn(start, target, tol_rel=tol_rel, max_pulses=max_pulses, rng=rng)
+        out = (res.state.resistance.hex(), res.pulses)
+    except (ValueError, ProgramTimeoutError) as e:
+        out = (type(e).__name__, str(e))
+    return out, None if rng is None else rng.random()
+
+
+class TestPlannerReference:
+    """program_to_target against the planner that tries every schedule length
+    from 1 up and builds every schedule's full digit list."""
+
+    def test_matches_reference_on_random_cases(self):
+        gen = np.random.default_rng(20260611)
+        timeouts = 0
+        for _ in range(400):
+            r_min = float(10 ** gen.uniform(2, 5))
+            r_max = r_min * float(10 ** gen.uniform(0.05, 2))
+            noisy = gen.random() < 0.3
+            m = DeviceModel(r_min=r_min, r_max=r_max,
+                            step_fraction=float(gen.uniform(0.01, 0.6)),
+                            noise_sigma_rel=float(gen.uniform(0, 0.02)) if noisy else 0.0)
+            start, target = (float(x) for x in gen.uniform(r_min, r_max, 2))
+            if gen.random() < 0.2:
+                target = float(gen.choice([r_min, r_max]))
+            tol_rel = float(10 ** gen.uniform(-7, -1))
+            max_pulses = int(gen.integers(0, 80))
+            seed = int(gen.integers(2 ** 32)) if noisy else None
+            args = (MemristorState(start, m), target, tol_rel, max_pulses, seed)
+            got = _programming_outcome(program_to_target, *args)
+            assert got == _programming_outcome(reference_program_to_target, *args), args
+            timeouts += got[0][0] == "ProgramTimeoutError"
+        assert 20 < timeouts < 380  # both outcomes are well represented
 
 
 class TestDeviceModel:

@@ -1,8 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from mtlg import gate as gate_mod
 from mtlg.gate import (
     DimensionMismatchError,
     FanInError,
@@ -297,6 +299,32 @@ class TestBoundary:
             boundary_grid(GateConfig((1e6,) * 4, (1e6,)), 11)
         with pytest.raises(ValueError):
             boundary_grid(GateConfig((3e6, 3e6), (2.5e6,)), 1)
+
+    @pytest.mark.parametrize("n, res", [(2, 3163), (3, 216)])
+    def test_grid_over_max_points_refused_before_allocating(self, n, res):
+        # 3163^2 and 216^3 are the least grids over 10^7 points; at 3000^3 numpy
+        # once failed to allocate 201 GiB
+        config = GateConfig((3e6,) * n, (2.5e6,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"grid of {res}\\^{n} points exceeds"):
+                boundary_grid(config, res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("n, res", [(2, 3162), (3, 215)])
+    def test_grid_at_max_points_passes_the_guard(self, monkeypatch, n, res):
+        class Reached(Exception):
+            pass
+
+        def stop(config):
+            raise Reached
+
+        monkeypatch.setattr(gate_mod, "decision_hyperplane", stop)
+        with pytest.raises(Reached):
+            boundary_grid(GateConfig((3e6,) * n, (2.5e6,)), res)
 
     def test_hyperplane_only_for_high_fan_in(self):
         g, g_t = decision_hyperplane(GateConfig((1e6,) * 5, (2e6,)))
