@@ -21,7 +21,6 @@ from .gate import (
     GateConfig,
     TieRule,
     boundary_grid,
-    branch_currents,
     classify,
     decision_hyperplane,
     evaluate,
@@ -74,10 +73,8 @@ def _open_out(path):
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     gate = _gate_from_args(args, cfg)
-    bits = _parse_bits(args.input)
-    out = evaluate(gate, bits)
-    bc = branch_currents(gate, bits)
-    print(f"CA={out.ca} CO={out.co} Iin={bc.i_in:.5g} Ith={bc.i_th:.5g}")
+    out = evaluate(gate, _parse_bits(args.input))
+    print(f"CA={out.ca} CO={out.co} Iin={out.i_in:.5g} Ith={out.i_th:.5g}")
     return EXIT_OK
 
 

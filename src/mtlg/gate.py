@@ -93,6 +93,8 @@ class BranchCurrents:
 class GateOutput:
     ca: int | np.ndarray  # int8 arrays for columns of patterns
     co: int | np.ndarray
+    i_in: float | np.ndarray  # the branch currents the decision compared
+    i_th: float
 
 
 @dataclass(frozen=True)
@@ -217,12 +219,13 @@ def decide(i_in, i_th, tie_rule: TieRule):
 
 
 def evaluate(config: GateConfig, bits) -> GateOutput:
-    """CA and CO as ints for one input vector, as int8 arrays for columns."""
+    """CA and CO as ints for one input vector, as int8 arrays for columns,
+    with the branch currents they were decided from."""
     bc = branch_currents(config, bits)
     ca = decide(bc.i_in, bc.i_th, config.tie_rule)
     if ca.ndim == 0:
         ca = int(ca)
-    return GateOutput(ca=ca, co=1 - ca)
+    return GateOutput(ca=ca, co=1 - ca, i_in=bc.i_in, i_th=bc.i_th)
 
 
 def _corner_sums(terms) -> np.ndarray:

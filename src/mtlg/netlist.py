@@ -153,7 +153,7 @@ def _evaluate(net: Netlist, columns) -> list[np.ndarray]:
 
 def evaluate_network(net: Netlist, inputs) -> tuple[int, ...]:
     """Bits at the primary output taps for one primary input vector."""
-    columns = [np.array([int(b)]) for b in inputs]
+    columns = [np.array([b]) for b in inputs]
     if any(col[0] not in (0, 1) for col in columns):
         raise ValueError("input bits must be 0/1")
     return tuple(int(col[0]) for col in _evaluate(net, columns))

@@ -198,9 +198,7 @@ class VerifyReport:
     first_failure_row: int | None
 
 
-def verify_config(
-    config: GateConfig, target: TruthTable, tie_rule: TieRule | None = None
-) -> VerifyReport:
+def verify_config(config: GateConfig, target: TruthTable) -> VerifyReport:
     """Exact re-evaluation of a config against a target table.
 
     Independent of the float evaluation path: every conductance is scaled
@@ -211,7 +209,6 @@ def verify_config(
     """
     if config.n != target.n:
         raise ValueError(f"config has {config.n} inputs, target has {target.n}")
-    rule = tie_rule or config.tie_rule
     ratios = [m.as_integer_ratio() for m in
               config.input_memristances + config.threshold_memristances]
     scale = math.lcm(*(num for num, _ in ratios))
@@ -220,7 +217,7 @@ def verify_config(
     sums = [0]  # input conductance sum of every row, x1 the MSB of the index
     for gi in g[:config.n]:
         sums = [s + b for s in sums for b in (0, gi)]
-    tie_ca = 1 if rule is TieRule.INPUT_WINS else 0
+    tie_ca = 1 if config.tie_rule is TieRule.INPUT_WINS else 0
     # relative tie band 1e-9: |s - g_t| <= max(s, g_t) / 10**9
     ca = [tie_ca if 10 ** 9 * abs(s - g_t) <= max(s, g_t) else int(s > g_t)
           for s in sums]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# branch_currents stays imported: perfbench/tracing.py wraps transient.branch_currents
 from .gate import GateConfig, VoltageLevels, _check_bits, branch_currents, evaluate
 
 MAX_SAMPLES = 10**7  # longest trace simulate builds, 80 MB per column
@@ -93,10 +94,10 @@ def simulate(
     number of cycles is the number of input vectors."""
     clock = clock or ClockSpec()
     params = params or TransientParams()
-    input_sequence = [tuple(int(b) for b in v) for v in input_sequence]
-    if not input_sequence:
+    bits = np.array([_check_bits(config, v) for v in input_sequence], bool).T  # (n, cycles)
+    if not bits.size:
         raise ValueError("need at least one input vector")
-    n_samples = len(input_sequence) * clock.period / clock.sample_dt
+    n_samples = bits.shape[1] * clock.period / clock.sample_dt
     if not n_samples <= MAX_SAMPLES:
         raise ValueError(f"trace of {n_samples:.4g} samples exceeds {MAX_SAMPLES}")
     lv = config.levels
@@ -106,11 +107,9 @@ def simulate(
 
     # steady-state decision of every cycle at once; settling per cycle, since
     # the scalar math.log of settle_time fixes its last bit
-    bits = np.array([_check_bits(config, v) for v in input_sequence], bool).T  # (n, cycles)
-    bc = branch_currents(config, bits)
-    ca_wins = evaluate(config, bits).ca == 1
+    out = evaluate(config, bits)
     cycle_flags = []
-    for delta_i in (bc.i_in - bc.i_th).tolist():
+    for delta_i in (out.i_in - out.i_th).tolist():
         ts = settle_time(delta_i, params, lv)
         cycle_flags.append(ts is not None and ts <= t_eval)
 
@@ -129,7 +128,7 @@ def simulate(
     swing = v_mid * decay
     win = lv.v_dd - swing
     ramp = ~eq & resolved
-    ca_high = ca_wins[c]
+    ca_high = (out.ca == 1)[c]  # gathered as bools, not as an int8 column
     ca = np.where(ramp, np.where(ca_high, win, swing), v_mid)
     co = np.where(ramp, np.where(ca_high, swing, win), v_mid)
     return WaveformTrace(

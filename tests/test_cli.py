@@ -518,6 +518,34 @@ class TestGoldenTruth:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestGoldenEval:
+    """Exit code and SHA-256 of the stdout of fixed eval runs, recorded while
+    eval summed the branch currents a second time to print them."""
+
+    CASES = {
+        "and_11": (["eval", "--weights", "60.5k,60k;33k", "--input", "11"], 0,
+                   "0e88bed4d93049286ff6d0fdeb3365953f47c6fa32e55a600b3693d419b1c33c"),
+        "zero_input": (["eval", "--weights", "10k;99k", "--input", "0"], 0,
+                       "e8eae77f5152e5fd0260b0a83f4d7f8816913da3029016d5317b05d6cfb8950c"),
+        # x3, x6 and x9 weigh 3 + 3 + 3 = 9: exactly the threshold
+        "ties_n12_input_wins": (
+            ["eval", "--weights", TIES_N12, "--tie-rule", "input_wins",
+             "--input", "001001001000"], 0,
+            "71ba33bb8d0204d414ce2b38d02922128e9b0f47fce0518ceea3be45903ef10c"),
+        "ties_n12_threshold_wins": (
+            ["eval", "--weights", TIES_N12, "--tie-rule", "threshold_wins",
+             "--input", "001001001000"], 0,
+            "6ad4b2475245d5b0b2482689d9a87dfdb8665afaedccee5c62cac7beb9f49ce9"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_stdout_digest(self, capsys, name):
+        argv, code, digest = self.CASES[name]
+        got, out, err = run(capsys, *argv)
+        assert got == code and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestScipyLoadedOnFirstSynthesis:
     """Only the synthesis LP needs SciPy, and importing it takes most of the
     start-up time of a command: it stays unloaded until the first LP solve."""

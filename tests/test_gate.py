@@ -78,6 +78,7 @@ class TestEvaluate:
         out, bc = evaluate(OR3_HW, (1, 0, 1)), branch_currents(OR3_HW, (1, 0, 1))
         assert type(out.ca) is int and type(out.co) is int
         assert type(bc.i_in) is float and type(bc.i_th) is float
+        assert type(out.i_in) is float and type(out.i_th) is float
         cols = input_columns(3)
         with pytest.raises(DimensionMismatchError):
             evaluate(OR3_HW, cols[:2])

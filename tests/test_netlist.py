@@ -138,6 +138,12 @@ class TestEvaluateNetwork:
         with pytest.raises(ValueError):
             evaluate_network(single_gate_net(AND_HW), (0, 2))
 
+    @pytest.mark.parametrize("bits", [(0.7, 1), ("1", "1")])
+    def test_fractional_and_text_bits_rejected(self, bits):
+        # the same 0/1 rule as evaluate: 0.7 is not rounded, "1" not parsed
+        with pytest.raises(ValueError, match="0/1"):
+            evaluate_network(single_gate_net(AND_HW), bits)
+
 
 class TestNetworkTruthTable:
     def test_xor_table(self):

@@ -103,13 +103,16 @@ class TestGateInvariants:
     def test_truth_table_agrees_with_rowwise_evaluate(self, cfg):
         tt = truth_table(cfg)
         columns = input_columns(cfg.n)
-        ca = evaluate(cfg, columns).ca
-        i_in = branch_currents(cfg, columns).i_in.tolist()
+        out = evaluate(cfg, columns)
+        i_in = branch_currents(cfg, columns).i_in
+        assert out.i_in.tobytes() == i_in.tobytes()  # the currents it decided from
+        i_in = i_in.tolist()
         for k in range(2 ** cfg.n):
             bits = bits_of_index(k, cfg.n)
-            assert tt.outputs[k] == ca[k] == evaluate(cfg, bits).ca
-            want = branch_currents(cfg, bits).i_in
-            assert struct.pack("<d", i_in[k]) == struct.pack("<d", want)
+            row = evaluate(cfg, bits)
+            assert tt.outputs[k] == out.ca[k] == row.ca
+            want = struct.pack("<d", branch_currents(cfg, bits).i_in)
+            assert struct.pack("<d", i_in[k]) == want == struct.pack("<d", row.i_in)
 
 
 class TestDeviceInvariants:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -203,7 +204,8 @@ def verify_cases(draw):
     """(config, target, tie_rule override). The threshold conductance sits at an
     input subset's sum: on it, 1e-9 +- 1e-10 or 1e-9 off it, or far off it,
     then moved a few ulps; the target is the exact table with some rows
-    flipped."""
+    flipped. verify_config reads the override as the config's own tie rule,
+    the reference as its parameter."""
     n = draw(st.integers(min_value=1, max_value=10))
     ms = draw(st.tuples(*[resistance] * n))
     subset = set(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
@@ -231,7 +233,8 @@ class TestVerifyConfigExact:
     @settings(max_examples=80, deadline=None)
     def test_matches_fraction_reference(self, case):
         config, target, override = case
-        assert _report_fields(verify_config(config, target, override)) == \
+        overridden = replace(config, tie_rule=override or config.tie_rule)
+        assert _report_fields(verify_config(overridden, target)) == \
             _report_fields(reference_verify_config(config, target, override))
 
     @pytest.mark.parametrize("override", [None, *TieRule])
@@ -247,7 +250,7 @@ class TestVerifyConfigExact:
         rule = override or tie
         for outs in (exact_truth_table(ms, ths, True), exact_truth_table(ms, ths, False)):
             target = TruthTable(len(ms), outs)
-            report = verify_config(config, target, override)
+            report = verify_config(replace(config, tie_rule=rule), target)
             assert 0.0 in report.row_margins  # an exact tie
             assert report.ok == (outs == exact_truth_table(
                 ms, ths, rule is TieRule.INPUT_WINS))

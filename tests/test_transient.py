@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtlg.gate import GateConfig, TieRule, VoltageLevels, branch_currents, evaluate
+from mtlg.gate import (
+    DimensionMismatchError,
+    GateConfig,
+    TieRule,
+    VoltageLevels,
+    branch_currents,
+    evaluate,
+)
 from mtlg.transient import (
     ClockSpec,
     TransientParams,
@@ -90,6 +97,17 @@ class TestSimulate:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="at least one input vector"):
             simulate(AND_HW, [])
+
+    @pytest.mark.parametrize("seq", [[(0.7, 1)], ["11"], [(1, 1), ("1", "0")]])
+    def test_non_bit_values_rejected(self, seq):
+        # the same 0/1 rule as evaluate: no value is rounded or parsed into a bit
+        with pytest.raises(ValueError, match="0/1"):
+            simulate(AND_HW, seq)
+
+    def test_vector_length_checked(self):
+        with pytest.raises(DimensionMismatchError) as e:
+            simulate(AND_HW, [(1, 1), (1, 0, 1)])
+        assert str(e.value) == "input has 3 bits, gate expects 2"
 
     def test_sample_count_bounded_before_allocation(self):
         # 2e9 samples: rejected from the clock alone, before any array is built
