@@ -18,6 +18,7 @@ import numpy as np
 from . import device as dev_mod
 from . import files, netlist as net_mod, synth as synth_mod, transient as tr_mod
 from .gate import (
+    FanInError,
     GateConfig,
     TieRule,
     boundary_grid,
@@ -49,7 +50,7 @@ def _tie_rule(args, default) -> TieRule:
 
 def _gate_from_args(args, cfg: files.ProjectConfig) -> GateConfig:
     if args.gate_file:
-        gc = files.load_gate_config(args.gate_file, levels=cfg.levels)
+        gc = files.load_gate_config(args.gate_file, cfg.levels, cfg.tie_rule)
         return replace(gc, tie_rule=_tie_rule(args, gc))
     if not args.weights:
         raise files.ParseError("need --weights or --gate-file")
@@ -87,8 +88,9 @@ def _print_table(tt, prefix=""):
 def cmd_truth(args) -> int:
     cfg = _load_config(args)
     if args.netlist:
-        net = files.parse_netlist_file(args.netlist, levels=cfg.levels,
-                                       tie_rule=_tie_rule(args, cfg))
+        net = files.parse_netlist_file(args.netlist, cfg.levels, cfg.tie_rule)
+        net = replace(net, gates={name: replace(g, tie_rule=_tie_rule(args, g))
+                                  for name, g in net.gates.items()})
         tables = net_mod.network_truth_table(net)
         for (gname, tap), tt in zip(net.primary_outputs, tables):
             print(f"output {gname}.{tap}:")
@@ -105,7 +107,9 @@ def cmd_boundary(args) -> int:
     gate = _gate_from_args(args, cfg)
     g, g_t = decision_hyperplane(gate)
     try:
-        bm = boundary_grid(gate, args.res) if gate.n in (2, 3) else None
+        bm = boundary_grid(gate, args.res)
+    except FanInError:  # no grid at this fan-in; --res was checked first
+        bm = None
     except ValueError as e:  # --res out of range: a usage error, before any output
         raise files.ParseError(str(e)) from None
     with _open_out(args.out) as fh:

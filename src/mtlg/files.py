@@ -204,7 +204,9 @@ def save_gate_config(config: GateConfig, path) -> None:
         yaml.safe_dump(data, fh, sort_keys=False)
 
 
-def load_gate_config(path, levels: VoltageLevels | None = None) -> GateConfig:
+def load_gate_config(path, levels: VoltageLevels | None = None,
+                     tie_rule: TieRule = TieRule.INPUT_WINS) -> GateConfig:
+    """Gate file; `tie_rule` applies when the file names none."""
     data = _load_yaml(path, _GATEFILE_KEYS)
     return GateConfig(
         _parse_resistance_list(data.get("input_memristances_ohm"), "input_memristances_ohm"),
@@ -212,7 +214,7 @@ def load_gate_config(path, levels: VoltageLevels | None = None) -> GateConfig:
             data.get("threshold_memristances_ohm"), "threshold_memristances_ohm"
         ),
         levels=levels or VoltageLevels(),
-        tie_rule=parse_tie_rule(data.get("tie_rule", "input_wins")),
+        tie_rule=parse_tie_rule(data["tie_rule"]) if "tie_rule" in data else tie_rule,
     )
 
 

@@ -228,22 +228,22 @@ def evaluate(config: GateConfig, bits) -> GateOutput:
     return GateOutput(ca=ca, co=1 - ca, i_in=bc.i_in, i_th=bc.i_th)
 
 
-def _corner_sums(terms) -> np.ndarray:
-    """sum(t_i * x_i) at every input corner x, in truth-table order. Doubling
-    over the terms in slot order adds each corner's active terms left to right,
-    as Python's sum does, so float sums equal branch_currents' bit for bit."""
-    s = np.array([0.0])
-    for t in terms:
-        s = (s[:, None] + [0.0, t]).ravel()
-    return s
+def _decide_grid(config: GateConfig, axis: np.ndarray) -> np.ndarray:
+    """CA at every point of axis^n, flat, x1 the slowest axis. Doubling in slot
+    order adds each point's terms left to right, as branch_currents does, so
+    the 0/1 corners compare its currents bit for bit."""
+    g, g_t = _conductances(config)
+    s = np.zeros(1)
+    for gi in g:
+        s = (s[:, None] + gi * axis).ravel()
+    v = config.levels.v_dd
+    s *= v  # in place: a second array of every point would cost time and memory
+    return decide(s, v * g_t, config.tie_rule)
 
 
 def truth_table(config: GateConfig) -> TruthTable:
     """Exhaustive evaluation over all 2^n input corners."""
-    g, g_t = _conductances(config)
-    v = config.levels.v_dd
-    ca = decide(v * _corner_sums(g), v * g_t, config.tie_rule)
-    return TruthTable(config.n, ca)
+    return TruthTable(config.n, _decide_grid(config, np.array([0.0, 1.0])))
 
 
 def classify(tt: TruthTable) -> GateClass:
@@ -297,32 +297,24 @@ def _majority_rank(ones, rows) -> int | None:
 
 @dataclass(frozen=True)
 class BoundaryMap:
-    """Classification of the relaxed input cube [0,1]^n on a uniform grid,
-    plus the separating hyperplane sum(a_i * g_i) = g_threshold."""
+    """Classification of the relaxed input cube [0,1]^n on a uniform grid; the
+    separating hyperplane itself comes from decision_hyperplane."""
 
     axes: tuple[np.ndarray, ...]
     grid: np.ndarray  # shape (res,)*n, values 0/1; index order (a1, a2, ...)
-    conductances: tuple[float, ...]
-    g_threshold: float
 
 
 def boundary_grid(config: GateConfig, resolution: int) -> BoundaryMap:
-    """Map the decision boundary over relaxed activations in [0,1]^n.
-
+    """Map the decision boundary over relaxed activations in [0,1]^n. It compares
+    currents as truth_table does, so the grid's corners are the truth table.
     Grid export is limited to n in {2, 3} and MAX_GRID_POINTS points; for
-    higher fan-in use decision_hyperplane directly.
-    """
-    if config.n not in (2, 3):
-        raise FanInError(f"grid export supports n in {{2, 3}}, got n={config.n}")
+    higher fan-in use decision_hyperplane directly."""
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
+    if config.n not in (2, 3):
+        raise FanInError(f"grid export supports n in {{2, 3}}, got n={config.n}")
     if resolution ** config.n > MAX_GRID_POINTS:
         raise ValueError(f"grid of {resolution}^{config.n} points exceeds {MAX_GRID_POINTS}")
-    g, g_t = decision_hyperplane(config)
-    axes = tuple(np.linspace(0.0, 1.0, resolution) for _ in range(config.n))
-    # sparse axes broadcast to the full grid in the sum, which adds the same
-    # products in the same order as a dense mesh would
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    lhs = sum(gi * a for gi, a in zip(g, mesh))
-    grid = decide(lhs, g_t, config.tie_rule)
-    return BoundaryMap(axes=axes, grid=grid, conductances=g, g_threshold=g_t)
+    axis = np.linspace(0.0, 1.0, resolution)
+    grid = _decide_grid(config, axis).reshape((resolution,) * config.n)
+    return BoundaryMap(axes=(axis,) * config.n, grid=grid)

@@ -155,6 +155,32 @@ class TestBoundary:
         assert code == 2 and out == "" and not out_file.exists()
         assert err.startswith("error: grid of ") and "points exceeds 10000000" in err
 
+    @pytest.mark.parametrize("res", ["1", "-5"])
+    @pytest.mark.parametrize("weights", ["3M;4M", "3M,3M,3M,3M;4M", "1M,2M,3M,4M,5M;4M"])
+    def test_bad_resolution_exit_2_at_every_fan_in(self, capsys, tmp_path, weights, res):
+        # fan-ins without a grid once took any --res and exited 0
+        out_file = tmp_path / "grid.csv"
+        code, out, err = run(capsys, "boundary", "--weights", weights, "--res", res,
+                             "--out", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err == f"error: resolution must be >= 2, got {res}\n"
+
+    def test_corners_match_truth_at_the_tie_band_edge(self, capsys):
+        # the input current of row 10 sits at the edge of the tie band; the grid
+        # once compared conductances there and wrote 1,0,0 under class OR
+        weights = "801862.7661695378,334851.10830955836;801862.7669714005"
+        rule = ("--tie-rule", "threshold_wins")
+        _, truth, _ = run(capsys, "truth", "--weights", weights, *rule)
+        want = [f"{r[0]},{r[1]},{r.split()[1]}" for r in truth.splitlines()[1:5]]
+        assert want == ["0,0,0", "0,1,1", "1,0,1", "1,1,1"]
+        for res in (2, 5):
+            code, out, _ = run(capsys, "boundary", "--weights", weights, *rule,
+                               "--res", str(res))
+            assert code == 0 and "# class: OR (MAJ-1)" in out
+            rows = out.splitlines()[4:]
+            corners = [rows[0], rows[res - 1], rows[res * (res - 1)], rows[-1]]
+            assert corners == want
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run(capsys, "boundary", "--weights", "3M,3M;4M", "--res", "31", "--out", str(f1))
@@ -355,6 +381,44 @@ class TestConfigFile:
         assert code == 0 and "CA=0" in out
         code, out, _ = run(capsys, "eval", "--weights", "2M;2M", "--input", "1")
         assert code == 0 and "CA=1" in out
+
+
+TIE_GATE = "input_memristances_ohm: [2M]\nthreshold_memristances_ohm: [2M]\n"
+TIE_NETLIST = ("inputs: 1\ngates:\n  - {name: g, inputs: [2M], threshold: [2M]}\n"
+               "wires:\n  - {from: in1, to: g.1}\noutputs: [g.CA]\n")
+RULES = (None, "input_wins", "threshold_wins")
+
+
+class TestTieRuleOrder:
+    """The tie rule comes from --tie-rule, then the gate's file, then the
+    project config, then input_wins, for every gate source. Each source is a
+    gate whose two currents tie at input 1, so CA there is the rule."""
+
+    @pytest.mark.parametrize("flag", RULES)
+    @pytest.mark.parametrize("config_rule", RULES)
+    @pytest.mark.parametrize("source, file_rule", [("weights", None)] + [
+        (source, rule) for source in ("gate-file", "netlist") for rule in RULES])
+    def test_order(self, capsys, tmp_path, source, file_rule, config_rule, flag):
+        # the flag was once dropped for a netlist that names its own tie_rule,
+        # and a gate file without one once read as input_wins whatever --config said
+        argv = ["truth"]
+        if source == "weights":
+            argv += ["--weights", "2M;2M"]
+        else:
+            path = tmp_path / "source.yaml"
+            path.write_text((TIE_GATE if source == "gate-file" else TIE_NETLIST)
+                            + (f"tie_rule: {file_rule}\n" if file_rule else ""))
+            argv += [f"--{source}", str(path)]
+        if config_rule:
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(f"tie_rule: {config_rule}\n")
+            argv += ["--config", str(cfg)]
+        if flag:
+            argv += ["--tie-rule", flag]
+        code, out, _ = run(capsys, *argv)
+        (row,) = [l.split() for l in out.splitlines() if l.strip().startswith("1 ")]
+        rule = flag or file_rule or config_rule or "input_wins"
+        assert code == 0 and row[1] == ("1" if rule == "input_wins" else "0")
 
 
 EVAL_WITH_CONFIG = ("eval", "--config", "{file}", "--weights", "10k;20k", "--input", "1")

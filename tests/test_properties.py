@@ -11,6 +11,7 @@ from mtlg.gate import (
     TieRule,
     VoltageLevels,
     bits_of_index,
+    boundary_grid,
     branch_currents,
     evaluate,
     input_columns,
@@ -34,10 +35,10 @@ def gate_configs(draw, max_n=4):
 
 
 @st.composite
-def near_tie_configs(draw, max_n=8):
+def near_tie_configs(draw, max_n=8, min_n=1):
     """Threshold conductance at an input subset's sum, moved to within a few
     ulps of the tie-band edge, where the summation order decides rows."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     ms = draw(st.tuples(*[resistance] * n))
     subset = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
     g_t = sum(1.0 / ms[i] for i in set(subset))
@@ -113,6 +114,15 @@ class TestGateInvariants:
             assert tt.outputs[k] == out.ca[k] == row.ca
             want = struct.pack("<d", branch_currents(cfg, bits).i_in)
             assert struct.pack("<d", i_in[k]) == want == struct.pack("<d", row.i_in)
+
+    @given(near_tie_configs(max_n=3, min_n=2), st.integers(2, 9))
+    @settings(max_examples=300)
+    def test_boundary_corners_are_the_truth_table(self, cfg, res):
+        # at the tie-band edge the grid once compared conductances, not
+        # currents, and some corners disagreed with the gate's own table
+        corners = boundary_grid(cfg, res).grid[(slice(None, None, res - 1),) * cfg.n]
+        rows = [evaluate(cfg, bits_of_index(k, cfg.n)).ca for k in range(2 ** cfg.n)]
+        assert corners.ravel().tolist() == list(truth_table(cfg).outputs) == rows
 
 
 class TestDeviceInvariants:

@@ -1,13 +1,18 @@
 """The traced benchmark wraps mtlg names by (module, attribute); each must
-still exist, or a deletion in src/ breaks the traced run only when it starts."""
+still exist, or a deletion in src/ breaks the traced run only when it starts.
+One traced round of every workload must also run and check out correct."""
 
 import ast
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _wrapped():
@@ -23,7 +28,7 @@ def test_wrapped_name_exists(entry):
     assert callable(getattr(module, attr, None)), f"{module.__name__} has no {attr}"
 
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mtlg"
+SRC = ROOT / "src" / "mtlg"
 
 
 def _unused_sibling_imports(path: Path) -> set[str]:
@@ -46,3 +51,15 @@ def test_unused_sibling_imports_are_wrapped(path):
     wrapped = {attr for module, attr, *_ in _wrapped()
                if module.__name__ == f"mtlg.{path.stem}"}
     assert _unused_sibling_imports(path) <= wrapped
+
+
+def test_one_traced_round_of_every_workload_is_correct():
+    # a traced run reports every workload's layers, so one round of it runs all
+    # four under the wrappers; a crash there once showed only in the benchmark
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "gate_tables", "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout.splitlines()[-1])
+    assert report["correct"] is True and report["failed"] == 0, run.stderr
