@@ -2,11 +2,9 @@
 
 from .device import (
     DeviceModel,
-    KOHM_PROFILE,
     MemristorState,
     ProgramResult,
     ProgramTimeoutError,
-    PulseSpec,
     ReadDisturbError,
     apply_pulse,
     conductance_levels,

@@ -9,6 +9,7 @@ never change state.
 from __future__ import annotations
 
 import bisect
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,8 +33,6 @@ class DeviceModel:
     r_max: float = 100e3
     bits: int = 5
     v_prog_threshold: float = 1.0
-    v_set: float = 2.0
-    v_reset: float = -2.0
     step_fraction: float = 0.1
     noise_sigma_rel: float = 0.0
 
@@ -42,10 +41,9 @@ class DeviceModel:
             raise ValueError(f"require 0 < r_min < r_max, got {self.r_min}, {self.r_max}")
         if not (1 <= self.bits <= 7):
             raise ValueError(f"bits must be in 1..7, got {self.bits}")
-        if not (0 < self.v_prog_threshold < self.v_set):
-            raise ValueError("require 0 < v_prog_threshold < v_set")
-        if not (self.v_reset < -self.v_prog_threshold):
-            raise ValueError("require v_reset < -v_prog_threshold")
+        if not (0 < self.v_prog_threshold < np.inf):
+            raise ValueError(
+                f"require finite v_prog_threshold > 0, got {self.v_prog_threshold}")
         if not (0 < self.step_fraction < 1):
             raise ValueError("step_fraction must be in (0, 1)")
         if self.noise_sigma_rel < 0:
@@ -56,14 +54,10 @@ class DeviceModel:
         return 2 ** self.bits
 
 
-# Named profile: the kOhm range covers the hardware configurations.
-KOHM_PROFILE = DeviceModel()
-
-
 @dataclass(frozen=True)
 class MemristorState:
     resistance: float
-    model: DeviceModel = field(default_factory=lambda: KOHM_PROFILE)
+    model: DeviceModel = field(default_factory=DeviceModel)
 
     def __post_init__(self):
         if not (self.model.r_min <= self.resistance <= self.model.r_max):
@@ -71,11 +65,6 @@ class MemristorState:
                 f"resistance {self.resistance:.6g} outside "
                 f"[{self.model.r_min:.6g}, {self.model.r_max:.6g}]"
             )
-
-
-@dataclass(frozen=True)
-class PulseSpec:
-    amplitude: float  # signed volts
 
 
 def read_current(state: MemristorState, v: float) -> float:
@@ -88,15 +77,15 @@ def read_current(state: MemristorState, v: float) -> float:
 
 
 def apply_pulse(
-    state: MemristorState, pulse: PulseSpec, rng: np.random.Generator | None = None
+    state: MemristorState, amplitude: float, rng: np.random.Generator | None = None
 ) -> MemristorState:
-    """One programming pulse; sub-threshold amplitudes leave the state unchanged."""
+    """One programming pulse of signed amplitude (volts): positive sets toward
+    r_min, negative resets toward r_max; below the threshold nothing changes."""
     m = state.model
-    a = pulse.amplitude
-    if abs(a) < m.v_prog_threshold:
+    if abs(amplitude) < m.v_prog_threshold:
         return state
     r = state.resistance
-    if a > 0:
+    if amplitude > 0:
         r = r - m.step_fraction * (r - m.r_min)
     else:
         r = r + m.step_fraction * (m.r_max - r)
@@ -108,9 +97,17 @@ def apply_pulse(
     return replace(state, resistance=r)
 
 
+def _level_grid(model: DeviceModel) -> tuple[float, float]:
+    """(g_lo, dg): level k of the device grid has conductance g_lo + k * dg."""
+    g_lo = 1.0 / model.r_max
+    return g_lo, (1.0 / model.r_min - g_lo) / (model.n_levels - 1)
+
+
 def conductance_levels(model: DeviceModel) -> np.ndarray:
-    """Admissible conductance grid: 2^bits levels uniform between 1/r_max and 1/r_min."""
-    return np.linspace(1.0 / model.r_max, 1.0 / model.r_min, model.n_levels)
+    """Admissible conductance grid: 2^bits levels uniform between 1/r_max and
+    1/r_min, each exactly the conductance quantize returns for its level."""
+    g_lo, dg = _level_grid(model)
+    return g_lo + np.arange(model.n_levels) * dg
 
 
 def quantize(target: float, model: DeviceModel) -> tuple[int, float]:
@@ -122,9 +119,7 @@ def quantize(target: float, model: DeviceModel) -> tuple[int, float]:
         raise ValueError(
             f"target {target:.6g} outside [{model.r_min:.6g}, {model.r_max:.6g}]"
         )
-    g_lo = 1.0 / model.r_max
-    g_hi = 1.0 / model.r_min
-    dg = (g_hi - g_lo) / (model.n_levels - 1)
+    g_lo, dg = _level_grid(model)
     lf = (1.0 / target - g_lo) / dg
     level = int(np.floor(lf))
     if lf - level > 0.5:
@@ -165,8 +160,10 @@ def _plan(state: MemristorState, target: float, tol_abs: float, budget: int,
     g0, gt, q = state.resistance - m.r_min, target - m.r_min, 1.0 - m.step_fraction
     unit = m.step_fraction * (m.r_max - m.r_min)
     # all-set schedules overshooting by more than tol come first (the gap left
-    # shrinks with k): start at the last of them, the least error among them
-    start = bisect.bisect(range(1, budget + 1), False, key=lambda k: not (
+    # shrinks with k): start at the last of them, the least error among them.
+    # Capping at sys.maxsize (bisect's longest range) moves no start: q ** k
+    # is 0.0 there, so no all-set schedule that long overshoots
+    start = bisect.bisect(range(1, min(budget, sys.maxsize) + 1), False, key=lambda k: not (
         (gt - q ** k * g0) / unit < 0 and abs(gt - q ** k * g0) > tol_abs))
     best = None
     for k in range(max(start, 1), budget + 1):
@@ -198,8 +195,8 @@ def program_to_target(
     if not (0 < tol_rel < np.inf and max_pulses >= 0):
         raise ValueError(f"require finite tol_rel > 0 and max_pulses >= 0, "
                          f"got {tol_rel}, {max_pulses}")
-    v_read = 0.5 * m.v_prog_threshold
-    set_pulse, reset_pulse = PulseSpec(m.v_set), PulseSpec(m.v_reset)
+    v_prog = m.v_prog_threshold
+    v_read = 0.5 * v_prog
     tol_abs = tol_rel * target
     pulses, qk = 0, []  # qk[i] is q ** i, grown as far as the planner looks
     while True:
@@ -209,5 +206,6 @@ def program_to_target(
         if pulses >= max_pulses:
             raise ProgramTimeoutError(target, state.resistance, pulses)
         reset = _plan(state, target, tol_abs, max_pulses - pulses, qk)
-        state = apply_pulse(state, reset_pulse if reset else set_pulse, rng)
+        # any amplitude at the threshold or past it moves one full step
+        state = apply_pulse(state, -v_prog if reset else v_prog, rng)
         pulses += 1

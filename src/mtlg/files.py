@@ -240,6 +240,8 @@ def parse_netlist_file(path, levels: VoltageLevels | None = None,
     if "tie_rule" in data:
         tie_rule = parse_tie_rule(data["tie_rule"])
     n_inputs = _number(data.get("inputs"), "inputs", int)
+    if n_inputs < 0:
+        raise ParseError(f"inputs: expected an integer >= 0, got {n_inputs}")
 
     gates: dict[str, GateConfig] = {}
     for i, g in enumerate(_sequence(data.get("gates"), "gates")):

@@ -27,7 +27,6 @@ from mtlg.device import (
     MemristorState,
     ProgramResult,
     ProgramTimeoutError,
-    PulseSpec,
     apply_pulse,
     read_current,
 )
@@ -273,8 +272,8 @@ def reference_program_to_target(
     if not (tol_rel > 0):
         raise ValueError("tol_rel must be > 0")
     v_read = 0.5 * m.v_prog_threshold
-    set_pulse = PulseSpec(m.v_set)
-    reset_pulse = PulseSpec(m.v_reset)
+    set_pulse = 2.0
+    reset_pulse = -2.0
     tol_abs = tol_rel * target
     pulses = 0
     while True:

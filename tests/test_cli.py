@@ -337,6 +337,13 @@ class TestProgram:
         code, _, err = run(capsys, "program", "--target", "33k", "--max-pulses", "1")
         assert code == 3 and err.startswith("error: did not reach 33000 ohm")
 
+    def test_budget_past_sys_maxsize(self, capsys):
+        # once exit 1 with an OverflowError traceback from the planner
+        code, out, err = run(capsys, "program", "--target", "33k",
+                             "--max-pulses", "100000000000000000000")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "program", "--target", "33k")[1]
+
     @pytest.mark.parametrize("option, value", [
         ("--tol", "inf"), ("--tol", "nan"), ("--tol", "0"), ("--tol", "-0.01"),
         ("--max-pulses", "-5"),
@@ -448,6 +455,12 @@ class TestBadInput:
                                  "gates: expected a list"),
         "netlist_outputs_scalar": ("inputs: 1\noutputs: 5\n",
                                    ("truth", "--netlist", "{file}"), "outputs: expected a list"),
+        # once exit 3: "primary input in1 does not exist"
+        "netlist_inputs_negative": ("inputs: -1\n"
+                                    "gates: [{name: g, inputs: [10k], threshold: [10k]}]\n"
+                                    "wires: [{from: in1, to: g.1}]\noutputs: [g.CA]\n",
+                                    ("truth", "--netlist", "{file}"),
+                                    "inputs: expected an integer >= 0, got -1"),
         "gate_file_inf": ("input_memristances_ohm: [.inf]\n"
                           "threshold_memristances_ohm: [10k]\n",
                           ("truth", "--gate-file", "{file}"), "input_memristances_ohm[0]"),

@@ -3,10 +3,8 @@ import pytest
 
 from mtlg.device import (
     DeviceModel,
-    KOHM_PROFILE,
     MemristorState,
     ProgramTimeoutError,
-    PulseSpec,
     ReadDisturbError,
     apply_pulse,
     conductance_levels,
@@ -46,22 +44,22 @@ class TestReadCurrent:
 class TestApplyPulse:
     def test_reset_fixed_point_at_r_max(self):
         s = state(100e3)
-        assert apply_pulse(s, PulseSpec(-2.0)).resistance == 100e3
+        assert apply_pulse(s, -2.0).resistance == 100e3
 
     def test_subthreshold_is_a_no_op(self):
         s = state(55e3)
-        assert apply_pulse(s, PulseSpec(0.5)).resistance == 55e3
-        assert apply_pulse(s, PulseSpec(-0.5)).resistance == 55e3
+        assert apply_pulse(s, 0.5).resistance == 55e3
+        assert apply_pulse(s, -0.5).resistance == 55e3
 
     def test_set_step_from_r_max(self):
         s = state(100e3)
-        out = apply_pulse(s, PulseSpec(2.0))
+        out = apply_pulse(s, 2.0)
         assert out.resistance == pytest.approx(91e3, rel=1e-12)
 
     def test_set_monotone_decreasing(self):
         s = state(80e3)
         for _ in range(50):
-            nxt = apply_pulse(s, PulseSpec(2.0))
+            nxt = apply_pulse(s, 2.0)
             assert nxt.resistance <= s.resistance
             s = nxt
         assert s.resistance >= s.model.r_min
@@ -69,7 +67,7 @@ class TestApplyPulse:
     def test_reset_monotone_increasing(self):
         s = state(20e3)
         for _ in range(50):
-            nxt = apply_pulse(s, PulseSpec(-2.0))
+            nxt = apply_pulse(s, -2.0)
             assert nxt.resistance >= s.resistance
             s = nxt
         assert s.resistance <= s.model.r_max
@@ -77,22 +75,22 @@ class TestApplyPulse:
     def test_noise_is_seed_deterministic(self):
         m = DeviceModel(noise_sigma_rel=0.02)
         s = MemristorState(80e3, m)
-        a = apply_pulse(s, PulseSpec(2.0), np.random.default_rng(7))
-        b = apply_pulse(s, PulseSpec(2.0), np.random.default_rng(7))
+        a = apply_pulse(s, 2.0, np.random.default_rng(7))
+        b = apply_pulse(s, 2.0, np.random.default_rng(7))
         assert a.resistance == b.resistance
-        assert a.resistance != apply_pulse(s, PulseSpec(2.0), np.random.default_rng(8)).resistance
+        assert a.resistance != apply_pulse(s, 2.0, np.random.default_rng(8)).resistance
 
 
 class TestQuantize:
     def test_endpoints(self):
-        m = KOHM_PROFILE
+        m = DeviceModel()
         lvl, r = quantize(m.r_max, m)
         assert lvl == 0 and r == pytest.approx(m.r_max, rel=1e-12)
         lvl, r = quantize(m.r_min, m)
         assert lvl == m.n_levels - 1 and r == pytest.approx(m.r_min, rel=1e-12)
 
     def test_nearest_in_conductance_by_enumeration(self):
-        m = KOHM_PROFILE
+        m = DeviceModel()
         grid = conductance_levels(m)
         for target in (33e3, 12.7e3, 99e3, 41.6e3, 60.5e3):
             lvl, r = quantize(target, m)
@@ -109,7 +107,19 @@ class TestQuantize:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            quantize(5e3, KOHM_PROFILE)
+            quantize(5e3, DeviceModel())
+
+    @pytest.mark.parametrize("bits", [1, 3, 5, 7])
+    @pytest.mark.parametrize("r_min, r_max", [(10e3, 100e3), (1e6, 1e7), (333.3, 470e3)])
+    def test_every_level_quantizes_to_itself(self, bits, r_min, r_max):
+        # conductance_levels once used np.linspace, which pins the top level
+        # to 1/r_min; quantize's g_lo + k * dg can miss that by a bit (1e6-1e7
+        # ohm at 3 bits)
+        m = DeviceModel(r_min=r_min, r_max=r_max, bits=bits)
+        grid = conductance_levels(m)
+        assert len(grid) == m.n_levels
+        for k, g in enumerate(grid):
+            assert quantize(float(1.0 / g), m) == (k, float(1.0 / g))
 
 
 class TestProgramToTarget:
@@ -136,6 +146,13 @@ class TestProgramToTarget:
     def test_timeout(self):
         with pytest.raises(ProgramTimeoutError):
             program_to_target(state(100e3), 50e3, tol_rel=1e-4, max_pulses=3)
+
+    def test_budget_past_sys_maxsize_plans_normally(self):
+        # a budget of 1e20 pulses once ended in OverflowError in the planner
+        for target in (10e3, 33e3, 99e3):
+            huge = program_to_target(state(100e3), target, max_pulses=10 ** 20)
+            usual = program_to_target(state(100e3), target)
+            assert (huge.state.resistance, huge.pulses) == (usual.state.resistance, usual.pulses)
 
     def test_with_programming_noise(self):
         m = DeviceModel(noise_sigma_rel=0.005)
@@ -184,15 +201,14 @@ class TestPlannerReference:
 
 
 class TestDeviceModel:
-    def test_reset_voltage_must_program(self):
-        # like v_set, v_reset must pass the programming threshold: a reset
-        # pulse below it never moves the device toward r_max, so programming
-        # upward could only time out
-        for v_reset in (-0.5, -1.0, 0.0):
-            with pytest.raises(ValueError, match="v_reset"):
-                DeviceModel(v_reset=v_reset)
-        with pytest.raises(ValueError, match="v_reset"):
-            DeviceModel(v_prog_threshold=2.5, v_set=3.0)  # default v_reset -2
-        m = DeviceModel(v_reset=-1.01)
-        res = program_to_target(MemristorState(20e3, m), 60e3)
-        assert abs(res.state.resistance - 60e3) <= 600
+    @pytest.mark.parametrize("v", [0.0, -1.0, float("nan"), float("inf")])
+    def test_programming_threshold_must_be_finite_and_positive(self, v):
+        with pytest.raises(ValueError, match="v_prog_threshold"):
+            DeviceModel(v_prog_threshold=v)
+
+    def test_any_threshold_programs_the_same(self):
+        # program_to_target pulses at the threshold itself: every pulse at or
+        # past it moves one full step, so the threshold never changes a plan
+        high = program_to_target(state(20e3, v_prog_threshold=7.5), 60e3)
+        usual = program_to_target(state(20e3), 60e3)
+        assert (high.state.resistance, high.pulses) == (usual.state.resistance, usual.pulses)

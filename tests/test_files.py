@@ -245,6 +245,8 @@ class TestNetlistFile:
     @pytest.mark.parametrize("body,message", [
         ("inputs: 1.5\n", "inputs: expected an integer"),
         ("gates: []\n", "inputs: expected an integer, got None"),
+        # a negative count once passed as a netlist and failed validation
+        ("inputs: -1\n", "inputs: expected an integer >= 0, got -1"),
         ("inputs: 1\ngates: 5\n", "gates: expected a list"),
         ("inputs: 1\ngates: [5]\n", "gates[0]: expected a mapping"),
         ("inputs: 1\ngates: [{name: g, inputs: [1k], threshold: [1k], x: 1}]\n",

@@ -5,7 +5,7 @@ import struct
 
 from hypothesis import given, settings, strategies as st
 
-from mtlg.device import DeviceModel, MemristorState, PulseSpec, apply_pulse, quantize
+from mtlg.device import DeviceModel, MemristorState, apply_pulse, quantize
 from mtlg.gate import (
     GateConfig,
     TieRule,
@@ -132,10 +132,9 @@ class TestDeviceInvariants:
     def test_pulse_moves_toward_correct_rail(self, r, amp, set_dir):
         model = DeviceModel()
         state = MemristorState(resistance=r, model=model)
-        v = model.v_set if set_dir else model.v_reset
-        after = apply_pulse(state, PulseSpec(amplitude=v * amp / 2.0))
+        after = apply_pulse(state, amp if set_dir else -amp)
         assert model.r_min <= after.resistance <= model.r_max
-        if abs(v * amp / 2.0) < model.v_prog_threshold:
+        if amp < model.v_prog_threshold:
             assert after.resistance == r
         elif set_dir:
             assert after.resistance <= r
