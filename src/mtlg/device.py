@@ -105,7 +105,8 @@ def _level_grid(model: DeviceModel) -> tuple[float, float]:
 
 def conductance_levels(model: DeviceModel) -> np.ndarray:
     """Admissible conductance grid: 2^bits levels uniform between 1/r_max and
-    1/r_min, each exactly the conductance quantize returns for its level."""
+    1/r_min. quantize returns level k's resistance 1/g, clamped into
+    [r_min, r_max] (rounding can put an end level an ulp outside)."""
     g_lo, dg = _level_grid(model)
     return g_lo + np.arange(model.n_levels) * dg
 
@@ -125,7 +126,7 @@ def quantize(target: float, model: DeviceModel) -> tuple[int, float]:
     if lf - level > 0.5:
         level += 1
     level = min(max(level, 0), model.n_levels - 1)
-    return level, 1.0 / (g_lo + level * dg)
+    return level, min(max(1.0 / (g_lo + level * dg), model.r_min), model.r_max)
 
 
 @dataclass(frozen=True)
@@ -192,8 +193,10 @@ def program_to_target(
     m = state.model
     if not (m.r_min <= target <= m.r_max):
         raise ValueError(f"target {target:.6g} outside [{m.r_min:.6g}, {m.r_max:.6g}]")
-    if not (0 < tol_rel < np.inf and max_pulses >= 0):
-        raise ValueError(f"require finite tol_rel > 0 and max_pulses >= 0, "
+    # below float epsilon, tol_rel * target is finer than one float step there
+    if not (sys.float_info.epsilon <= tol_rel < np.inf and max_pulses >= 0):
+        raise ValueError(f"require finite tol_rel > 0 and max_pulses >= 0, tol_rel at "
+                         f"least float epsilon {sys.float_info.epsilon:.3g}, "
                          f"got {tol_rel}, {max_pulses}")
     v_prog = m.v_prog_threshold
     v_read = 0.5 * v_prog

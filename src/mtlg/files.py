@@ -161,7 +161,9 @@ def load_project_config(path) -> ProjectConfig:
             for key, value in _mapping(data[name], name, keys).items()
         }
         if "seed" in fields:
-            kwargs["seed"] = fields.pop("seed")
+            seed = kwargs["seed"] = fields.pop("seed")
+            if seed < 0:
+                raise ParseError(f"device.seed: expected an integer >= 0, got {seed}")
         try:
             kwargs[name] = cls(**fields)
         except ValueError as e:

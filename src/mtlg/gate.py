@@ -262,37 +262,22 @@ def classify(tt: TruthTable) -> GateClass:
         if not lo.any() and hi.all():
             return GateClass(GateKind.DICTATOR, index=i)
 
+    # MAJ-k is [popcount >= k], k the least popcount of a 1-row
     popcount = np.bitwise_count(np.arange(2 ** n))
-    rows = np.bincount(popcount, minlength=n + 1)
-    ones = np.bincount(popcount[outs == 1], minlength=n + 1)
-    maj = _majority_rank(ones, rows)
-    if maj is not None:
-        if maj == n and n >= 2:
-            return GateClass(GateKind.AND, k=maj)
-        if maj == 1 and n >= 2:
-            return GateClass(GateKind.OR, k=maj)
-        return GateClass(GateKind.MAJORITY, k=maj)
-
-    cmaj = _majority_rank(rows - ones, rows)
-    if cmaj == n and n >= 2:
-        return GateClass(GateKind.NAND, k=cmaj)
-    if cmaj == 1 and n >= 2:
-        return GateClass(GateKind.NOR, k=cmaj)
+    k = int(popcount[outs == 1].min())
+    if (outs == (popcount >= k)).all():
+        if n >= 2 and k in (1, n):
+            return GateClass(GateKind.AND if k == n else GateKind.OR, k=k)
+        return GateClass(GateKind.MAJORITY, k=k)
+    if n >= 2 and not outs[-1] and outs[:-1].all():  # only the all-ones row is 0
+        return GateClass(GateKind.NAND, k=n)
+    if n >= 2 and outs[0] and not outs[1:].any():  # only the all-zeros row is 1
+        return GateClass(GateKind.NOR, k=1)
 
     # flipping any input 0 -> 1 must never turn the output off
     if all((lo <= hi).all() for lo, hi in halves):
         return GateClass(GateKind.OTHER_THRESHOLD)
     return GateClass(GateKind.NON_MONOTONE)
-
-
-def _majority_rank(ones, rows) -> int | None:
-    """k such that the table is [popcount >= k], or None, given its count of
-    1-rows and of all rows at each popcount 0..n."""
-    on = ones == rows
-    k = len(rows) - int(on.sum())
-    if ((ones == 0) | on).all() and 1 <= k < len(rows) and on[k:].all():
-        return k
-    return None
 
 
 @dataclass(frozen=True)

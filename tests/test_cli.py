@@ -165,6 +165,12 @@ class TestBoundary:
         assert code == 2 and out == "" and not out_file.exists()
         assert err == f"error: resolution must be >= 2, got {res}\n"
 
+    @pytest.mark.parametrize("weights", ["3M;4M", "3M,3M,3M,3M;4M"])
+    def test_no_grid_outside_two_or_three_inputs(self, capsys, weights):
+        code, out, _ = run(capsys, "boundary", "--weights", weights)
+        assert code == 0 and out.startswith("# hyperplane: ")
+        assert all(line.startswith("# ") for line in out.splitlines())
+
     def test_corners_match_truth_at_the_tie_band_edge(self, capsys):
         # the input current of row 10 sits at the edge of the tie band; the grid
         # once compared conductances there and wrote 1,0,0 under class OR
@@ -333,6 +339,11 @@ class TestProgram:
         code, _, _ = run(capsys, "program", "--target", "5k")
         assert code == 3
 
+    def test_start_out_of_range_exit_3(self, capsys):
+        code, out, err = run(capsys, "program", "--target", "33k", "--start", "5k")
+        assert (code, out) == (3, "")
+        assert err == "error: resistance 5000 outside [10000, 100000]\n"
+
     def test_timeout_exit_3(self, capsys):
         code, _, err = run(capsys, "program", "--target", "33k", "--max-pulses", "1")
         assert code == 3 and err.startswith("error: did not reach 33000 ohm")
@@ -346,11 +357,12 @@ class TestProgram:
 
     @pytest.mark.parametrize("option, value", [
         ("--tol", "inf"), ("--tol", "nan"), ("--tol", "0"), ("--tol", "-0.01"),
-        ("--max-pulses", "-5"),
+        ("--max-pulses", "-5"), ("--tol", "1e-17"), ("--tol", "1e-16"),
     ])
     def test_bad_tolerance_or_budget_exit_3(self, capsys, option, value):
         # --tol inf once took any start as in band and exited 0 after 0 pulses;
-        # --max-pulses -5 once failed "within 0 pulses"
+        # --max-pulses -5 once failed "within 0 pulses"; --tol 1e-17 (below
+        # float epsilon) once pulsed the whole budget and then timed out
         code, out, err = run(capsys, "program", "--target", "33k", option, value)
         assert code == 3 and out == ""
         assert err.startswith("error: require finite tol_rel > 0 and max_pulses >= 0")
@@ -435,9 +447,19 @@ BOUNDARY = ("boundary", "--weights", "3M,3M;4M")
 SYNTH_AND = ("synth", "--target", "AND", "--n", "2")
 
 
+NETLIST_ARGV = ("truth", "--netlist", "{file}")
+
+
+def one_input_netlist(wires, outputs="g.CA", inputs=1, gates=("g",)):
+    """Netlist text of 10k:10k one-input gates with the given wires (flow YAML)."""
+    lines = "".join(f"  - {{name: {g}, inputs: [10k], threshold: [10k]}}\n" for g in gates)
+    return f"inputs: {inputs}\ngates:\n{lines}wires: [{wires}]\noutputs: [{outputs}]\n"
+
+
 class TestBadInput:
-    """Inputs that once ended in a traceback or were taken without a check:
-    (file text or None, argv with {file} for its path, expected in stderr)."""
+    """Inputs that must end in exit 2 with one error line, many of which once
+    ended in a traceback or were taken without a check: (file text or None,
+    argv with {file} for its path, expected in stderr)."""
 
     CASES = {
         "device_scalar": ("device: 5\n", EVAL_WITH_CONFIG, "device: expected a mapping"),
@@ -486,6 +508,46 @@ class TestBadInput:
                             "min_margin_rel must be >= 0"),
         "margin_inf": (None, (*SYNTH_AND, "--margin", "inf"),
                        "min_margin_rel must be >= 0 and finite, got inf"),
+        # once exit 3 from NumPy with noise, and taken silently without it
+        "seed_negative": ("device: {seed: -1, noise_sigma_rel: 0.01}\n", PROGRAM_WITH_CONFIG,
+                          "device.seed: expected an integer >= 0, got -1"),
+        "seed_negative_noiseless": ("device: {seed: -1, noise_sigma_rel: 0}\n",
+                                    PROGRAM_WITH_CONFIG,
+                                    "device.seed: expected an integer >= 0, got -1"),
+        "tie_rule_flag": (None, ("eval", "--weights", "10k;20k", "--input", "1",
+                                 "--tie-rule", "bogus"),
+                          "tie_rule must be 'input_wins' or 'threshold_wins', got 'bogus'"),
+        "tie_rule_yaml": ("tie_rule: x\n", EVAL_WITH_CONFIG,
+                          "tie_rule must be 'input_wins' or 'threshold_wins', got 'x'"),
+        "netlist_gate_unnamed": ("inputs: 1\ngates: [{inputs: [10k], threshold: [10k]}]\n",
+                                 NETLIST_ARGV, "gates[0]: gate needs a name"),
+        "netlist_gate_duplicate": ("inputs: 1\ngates:\n"
+                                   "  - {name: g, inputs: [10k], threshold: [10k]}\n"
+                                   "  - {name: g, inputs: [20k], threshold: [10k]}\n",
+                                   NETLIST_ARGV, "gates[1]: duplicate gate name 'g'"),
+        "netlist_output_bad": (one_input_netlist("{from: in1, to: g.1}", outputs="g.XX"),
+                               NETLIST_ARGV,
+                               "outputs[0]: output must be '<gate>.<CA|CO>', got 'g.XX'"),
+        "input_not_binary": (None, ("eval", "--weights", "10k,10k,10k;20k", "--input", "012"),
+                             "input must be a 0/1 string, got '012'"),
+        "no_gate": (None, ("eval", "--input", "1"), "need --weights or --gate-file"),
+        "named_target_without_n": (None, ("synth", "--target", "AND"),
+                                   "named targets need --n"),
+        "maj_rank_4_of_3": (None, ("synth", "--target", "MAJ:4", "--n", "3"),
+                            "MAJ rank must be in 1..3, got 4"),
+        "dict_0_of_3": (None, ("synth", "--target", "DICT:0", "--n", "3"),
+                        "dictator index must be in 1..3, got 0"),
+        "bits_8": ("device: {bits: 8}\n", PROGRAM_WITH_CONFIG,
+                   "device: bits must be in 1..7, got 8"),
+        "r_min_at_r_max": ("device: {r_min_ohm: 50000, r_max_ohm: 50000}\n",
+                           PROGRAM_WITH_CONFIG, "device: require 0 < r_min < r_max"),
+        "step_fraction_1": ("device: {step_fraction: 1}\n", PROGRAM_WITH_CONFIG,
+                            "device: step_fraction must be in (0, 1)"),
+        "noise_negative": ("device: {noise_sigma_rel: -1}\n", PROGRAM_WITH_CONFIG,
+                           "device: noise_sigma_rel must be >= 0"),
+        "period_0": ("clock: {period_s: 0}\n", WAVE_WITH_CONFIG, "clock: period must be > 0"),
+        "tau_0": ("transient: {tau_s: 0}\n", WAVE_WITH_CONFIG,
+                  "transient: all transient parameters must be > 0"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -498,6 +560,37 @@ class TestBadInput:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert expected in err
+
+
+class TestNetlistDiagnostics:
+    """Netlists that parse but fail validation: exit 3 with the diagnostic."""
+
+    CASES = {
+        "wire_to_unknown_gate": (
+            one_input_netlist("{from: in1, to: g.1}, {from: in1, to: ghost.1}"),
+            "wire targets unknown gate 'ghost'"),
+        "bad_slot": (one_input_netlist("{from: in1, to: g.1}, {from: in1, to: g.2}"),
+                     "gate 'g' has no input slot 2 (fan-in 1)"),
+        "unknown_input": (one_input_netlist("{from: in2, to: g.1}"),
+                          "primary input in2 does not exist"),
+        "output_on_unknown_gate": (one_input_netlist("{from: in1, to: g.1}", outputs="ghost.CA"),
+                                   "output taps unknown gate 'ghost'"),
+        "slot_driven_twice": (
+            one_input_netlist("{from: in1, to: g.1}, {from: in1, to: h.1}, {from: g.CA, to: h.1}",
+                              outputs="h.CA", gates=("g", "h")),
+            "gate 'h' input slot 1 driven by in1, g.CA"),
+        "over_16_inputs": (one_input_netlist("{from: in1, to: g.1}", inputs=17),
+                           "17 primary inputs > 16"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exit_3_with_diagnostic(self, capsys, tmp_path, name):
+        text, expected = self.CASES[name]
+        path = tmp_path / "net.yaml"
+        path.write_text(text)
+        code, out, err = run(capsys, "truth", "--netlist", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and expected in err
 
 
 class TestGoldenCsv:
@@ -621,6 +714,18 @@ class TestGoldenEval:
         got, out, err = run(capsys, *argv)
         assert got == code and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestArgparseExits:
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["eval", "--help"], 0),
+        ([], 2), (["bogus"], 2), (["eval", "--weights", "10k;20k"], 2),
+        (["program", "--target", "33k", "--max-pulses", "many"], 2),
+    ])
+    def test_main_returns_argparse_exit_code(self, capsys, argv, code):
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: mtlg") if code == 0 else err.startswith("usage: mtlg")
 
 
 class TestScipyLoadedOnFirstSynthesis:

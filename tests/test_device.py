@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,26 @@ class TestQuantize:
         for k, g in enumerate(grid):
             assert quantize(float(1.0 / g), m) == (k, float(1.0 / g))
 
+    def test_top_level_is_r_min_not_an_ulp_below(self):
+        # 1 / (g_lo + dg) once came out as 210830.42079120854, and
+        # program_to_target refused that level as outside the range
+        m = DeviceModel(r_min=210830.42079120857, r_max=1196132.4591488778, bits=1)
+        assert quantize(m.r_min, m) == (1, m.r_min)
+        res = program_to_target(MemristorState(m.r_max, m), m.r_min)
+        assert abs(res.state.resistance - m.r_min) <= 0.01 * m.r_min
+
+    def test_every_returned_level_is_in_range_in_random_ranges(self):
+        rng = np.random.default_rng(2018)
+        for _ in range(200):
+            r_min = 10 ** rng.uniform(2, 6)
+            m = DeviceModel(r_min=r_min, r_max=r_min * 10 ** rng.uniform(0.05, 2),
+                            bits=int(rng.integers(1, 8)))
+            edges = [min(max(1.0 / g, m.r_min), m.r_max) for g in conductance_levels(m)]
+            for target in [m.r_min, m.r_max, *rng.uniform(m.r_min, m.r_max, 8), *edges]:
+                _, r = quantize(float(target), m)
+                assert m.r_min <= r <= m.r_max
+                assert program_to_target(MemristorState(r, m), r, max_pulses=0).pulses == 0
+
 
 class TestProgramToTarget:
     def test_already_at_target_applies_no_pulses(self):
@@ -146,6 +168,17 @@ class TestProgramToTarget:
     def test_timeout(self):
         with pytest.raises(ProgramTimeoutError):
             program_to_target(state(100e3), 50e3, tol_rel=1e-4, max_pulses=3)
+
+    @pytest.mark.parametrize("tol_rel", [1e-17, 1e-16, np.nextafter(sys.float_info.epsilon, 0)])
+    def test_tolerance_below_float_epsilon_refused(self, tol_rel):
+        # 1e-17 of 33k is below one float step there: it once spent the whole
+        # budget, and the planner's cost grows with the budget
+        with pytest.raises(ValueError, match="float epsilon"):
+            program_to_target(state(100e3), 33e3, tol_rel=tol_rel)
+
+    def test_tolerance_at_float_epsilon_accepted(self):
+        res = program_to_target(state(33e3), 33e3, tol_rel=sys.float_info.epsilon)
+        assert res.pulses == 0
 
     def test_budget_past_sys_maxsize_plans_normally(self):
         # a budget of 1e20 pulses once ended in OverflowError in the planner

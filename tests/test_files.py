@@ -101,6 +101,8 @@ class TestProjectConfig:
         ("device: {bits: 2.5}\n", "device.bits: expected an integer"),
         ("device: {seed: 1.5}\n", "device.seed: expected an integer"),
         ("device: {seed: abc}\n", "device.seed: expected an integer"),
+        # once passed here, then failed in NumPy only when noise needed the rng
+        ("device: {seed: -1}\n", "device.seed: expected an integer >= 0, got -1"),
         ("levels: {v_dd_v: abc}\n", "levels.v_dd_v: expected a number"),
         ("levels: [1, 2]\n", "levels: expected a mapping"),
         ("clock: {period: 1}\n", "clock: unknown key 'period'"),

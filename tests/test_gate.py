@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from fractions import Fraction
 
@@ -252,6 +253,19 @@ class TestClassify:
         tt = TruthTable(12, tuple(f(bits_of_index(k, 12)) for k in range(2 ** 12)))
         assert classify(tt).label() == label
 
+    def test_every_table_up_to_n4_keeps_its_class(self):
+        # digest of the classes given when MAJ-k, NAND and NOR were found by
+        # counting the 1-rows at each popcount: one "kind,k,index;" per table,
+        # n = 1..4, table t in order with bit r of t as the output of row r
+        h = hashlib.sha256()
+        for n in range(1, 5):
+            rows = np.arange(2 ** n)
+            for t in range(2 ** 2 ** n):
+                c = classify(TruthTable(n, (t >> rows) & 1))
+                h.update(f"{c.kind.value},{c.k},{c.index};".encode())
+        assert h.hexdigest() == (
+            "cff9fceb0479e3853a9e6040c685f7769bb0953ee69bcb71aa6be412be1cf537")
+
 
 class TestDecide:
     def test_scalar_and_array_agree(self):
@@ -348,3 +362,16 @@ class TestVoltageLevels:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             VoltageLevels(v_dd=1.0, v_high=0.9)
+
+
+class TestGateConfig:
+    @pytest.mark.parametrize("inputs, thresholds, message", [
+        ((), (10e3,), "need at least one input"),
+        ((10e3,), (), "need at least one input"),
+        ((10e3, 0.0), (10e3,), "memristance must be positive, got 0.0"),
+        ((10e3,), (-1.0,), "memristance must be positive, got -1.0"),
+        ((float("nan"),), (10e3,), "memristance must be positive, got nan"),
+    ])
+    def test_empty_or_non_positive_memristances_rejected(self, inputs, thresholds, message):
+        with pytest.raises(ValueError, match=message):
+            GateConfig(inputs, thresholds)

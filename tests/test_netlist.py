@@ -101,6 +101,15 @@ class TestValidate:
         )
         assert any(d.code == "UnknownGate" for d in validate(net))
 
+    def test_bad_output_tap(self):
+        diags = validate(single_gate_net(AND_HW, tap="XX"))
+        assert [(d.code, d.message) for d in diags] == [
+            ("BadTap", "output tap must be CA or CO, got 'XX'")]
+
+    def test_gate_tap_source_rejects_bad_tap(self):
+        with pytest.raises(ValueError, match="tap must be CA or CO, got 'XX'"):
+            Source.gate_tap("g", "XX")
+
 
 class TestEvaluateNetwork:
     def test_xor_cascade(self):

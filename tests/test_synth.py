@@ -102,6 +102,10 @@ class TestSynthesize:
         with pytest.raises(DeviceRangeError):
             synthesize(SynthesisSpec(AND2, device=narrow, min_margin_rel=0.45))
 
+    def test_fan_in_guard(self):
+        with pytest.raises(ValueError, match="synthesis limited to n <= 10, got 11"):
+            synthesize(SynthesisSpec(TruthTable(11, (0,) * 2 ** 11)))
+
     def test_threshold_wins_tie_rule_accepted(self):
         res = synthesize(SynthesisSpec(OR2, tie_rule=TieRule.THRESHOLD_WINS))
         assert res.feasible
