@@ -168,7 +168,12 @@ def load_project_config(path) -> ProjectConfig:
             kwargs[name] = cls(**fields)
         except ValueError as e:
             raise ParseError(f"{name}: {e}") from None
-    return ProjectConfig(**kwargs)
+    config = ProjectConfig(**kwargs)
+    if not config.levels.v_dd < config.device.v_prog_threshold:
+        raise ParseError(f"levels.v_dd_v {config.levels.v_dd} must be below "
+                         f"device.v_prog_threshold_v {config.device.v_prog_threshold}, "
+                         f"or every read programs the cells")
+    return config
 
 
 def parse_tie_rule(value: str) -> TieRule:

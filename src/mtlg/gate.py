@@ -7,6 +7,7 @@ All memristances are in ohms, voltages in volts, currents in amperes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -68,6 +69,10 @@ class GateConfig:
         for m in self.input_memristances + self.threshold_memristances:
             if not (m > 0):
                 raise ValueError(f"memristance must be positive, got {m}")
+        # bounds every branch current and row sum the float path forms
+        g_total = sum(1.0 / m for m in self.input_memristances + self.threshold_memristances)
+        if not math.isfinite(self.levels.v_dd * g_total):
+            raise ValueError("v_dd times the summed conductance of the gate overflows a float")
 
     @property
     def n(self) -> int:

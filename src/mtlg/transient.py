@@ -73,7 +73,9 @@ def settle_time(
     dv0 = abs(delta_i) * params.r_sense
     if dv0 < params.v_meta_floor:
         return None
-    return max(0.0, params.tau * math.log(levels.v_dd / (2.0 * dv0)))
+    if dv0 >= levels.v_dd / 2.0:  # already at rail, also when dv0 overflowed
+        return 0.0
+    return params.tau * math.log(levels.v_dd / (2.0 * dv0))
 
 
 def isolation_inverter(v_in, levels: VoltageLevels):
@@ -147,32 +149,52 @@ def simulate(
 _BLOCK_ROWS = 4096  # rows formatted and written per block
 
 
+def _texts(col, end):
+    """Every value of a float column as "%.9g" + end, each distinct bit pattern
+    (so -0.0 and 0.0 stay apart) formatted once, as an object array."""
+    values, index = np.unique(col.view(np.int64), return_inverse=True)
+    text = map(f"%.9g{end}".__mod__, values.view(float).tolist())
+    return np.fromiter(text, object, len(values))[index]
+
+
 def write_rows(fh, columns) -> None:
     """Write equal-length numeric columns as CSV rows, every value as %.9g.
 
-    Rows go out in blocks of a fixed size, each written as one join. Within a
-    block each distinct value of a column (by bit pattern, so -0.0 and 0.0 stay
-    apart) is formatted once, with the separator that follows it.
+    Rows go out in blocks of a fixed size, each written as one join of the
+    cells that `_texts` formats for each column of the block.
     """
     columns = [np.asarray(col, dtype=float) for col in columns]
     ends = [","] * (len(columns) - 1) + ["\n"]
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         cells = np.empty((min(_BLOCK_ROWS, len(columns[0]) - start), len(columns)), object)
         for j, (col, end) in enumerate(zip(columns, ends)):
-            values, index = np.unique(
-                col[start:start + _BLOCK_ROWS].view(np.int64), return_inverse=True
-            )
-            text = map(f"%.9g{end}".__mod__, values.view(float).tolist())
-            cells[:, j] = np.fromiter(text, object, len(values))[index]
+            cells[:, j] = _texts(col[start:start + _BLOCK_ROWS], end)
         fh.write("".join(cells.ravel().tolist()))
 
 
 def write_csv(trace: WaveformTrace, fh) -> None:
-    """Stable CSV emission: fixed header, 9 significant digits, time-ordered."""
+    """Stable CSV emission: fixed header, 9 significant digits, time-ordered.
+
+    Only the time changes on every sample. Within each block of rows, the
+    text after the time is built once per run of rows whose other columns
+    repeat the row before by bit pattern, and the block goes out as one
+    format of each row's time and its run's text: the bytes of `write_rows`
+    on the same columns.
+    """
     n = trace.inputs.shape[0]
     cols = ["t_s", "clk_v"]
     cols += [f"in{i + 1}_v" for i in range(n)]
     cols += ["ca_v", "co_v", "cabar_v", "cobar_v", "resolved"]
     fh.write(",".join(cols) + "\n")
-    write_rows(fh, [trace.time, trace.clk, *trace.inputs, trace.ca, trace.co,
-                    trace.cabar, trace.cobar, trace.resolved])
+    tail = [trace.clk, *trace.inputs, trace.ca, trace.co, trace.cabar, trace.cobar, trace.resolved]
+    ends = [","] * (len(tail) - 1) + ["\n"]
+    for start in range(0, len(trace.time), _BLOCK_ROWS):
+        bits = np.array([col[start:start + _BLOCK_ROWS] for col in tail], float).view(np.int64)
+        new_run = np.ones(bits.shape[1], bool)
+        new_run[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+        firsts = bits[:, new_run].view(float)  # each run's first row, per column
+        runs = np.add.reduce([_texts(col, end) for col, end in zip(firsts, ends)])
+        args = [None] * (2 * bits.shape[1])
+        args[0::2] = trace.time[start:start + _BLOCK_ROWS].tolist()
+        args[1::2] = runs[np.cumsum(new_run) - 1].tolist()
+        fh.write(("%.9g,%s" * bits.shape[1]) % tuple(args))

@@ -106,6 +106,13 @@ class TestTruth:
         code, _, err = run(capsys, "truth", "--netlist", str(p))
         assert code == 3 and "cycle" in err
 
+    def test_overflowing_conductance_exit_3(self, capsys):
+        # once exit 0 with row 01 printed as 0: the exact row 01 is a tie
+        code, out, err = run(capsys, "truth", "--weights", "1e-320,1k;1k")
+        assert code == 3 and out == ""
+        assert err == ("error: v_dd times the summed conductance of the gate "
+                       "overflows a float\n")
+
     def test_missing_netlist_file_exit_2(self, capsys, tmp_path):
         missing = tmp_path / "missing.yaml"
         code, out, err = run(capsys, "truth", "--netlist", str(missing))
@@ -216,6 +223,11 @@ class TestWave:
                              "--inputs", "11,111")
         assert code == 3 and out == ""
         assert err == "error: input has 3 bits, gate expects 2\n"
+
+    def test_imbalance_past_float_range_settles(self, capsys):
+        # |delta_i| * r_sense overflows; this once ended in "math domain error"
+        code, out, _ = run(capsys, "wave", "--weights", "1e-305,1k;1k", "--inputs", "10")
+        assert code == 0 and out.splitlines()[-1].endswith(",1")
 
     def test_sample_count_bound_exit_3(self, capsys, tmp_path):
         # 2e9 samples are refused before any array is built
@@ -393,6 +405,15 @@ class TestConfigFile:
                              "--weights", "10k;20k", "--input", "1")
         assert code == 2 and out == ""
         assert err.startswith(f"error: {cfg}: ")
+
+    def test_read_voltage_at_programming_threshold_exit_2(self, capsys, tmp_path):
+        # once accepted: synth printed a "(verified)" gate whose reads program it
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("device: {v_prog_threshold_v: 0.5}\n")
+        code, out, err = run(capsys, "synth", "--config", str(cfg), "--target", "AND",
+                             "--n", "2")
+        assert code == 2 and out == ""
+        assert "must be below device.v_prog_threshold_v 0.5" in err
 
     def test_tie_rule_flag(self, capsys):
         code, out, _ = run(capsys, "eval", "--weights", "2M;2M", "--input", "1",

@@ -108,6 +108,11 @@ class TestProjectConfig:
         ("clock: {period: 1}\n", "clock: unknown key 'period'"),
         ("- device\n", "expected a mapping, got list"),
         ("levels: {v_dd_v: 1.0}\n", "levels: require v_low < v_dd < v_high"),
+        # a read at or above the programming threshold would program the cells
+        ("device: {v_prog_threshold_v: 0.5}\n",
+         "levels.v_dd_v 0.65 must be below device.v_prog_threshold_v 0.5"),
+        ("device: {v_prog_threshold_v: 0.8}\nlevels: {v_dd_v: 0.8}\n",
+         "levels.v_dd_v 0.8 must be below device.v_prog_threshold_v 0.8"),
     ])
     def test_section_errors(self, tmp_path, text, message):
         p = tmp_path / "cfg.yaml"

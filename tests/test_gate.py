@@ -375,3 +375,17 @@ class TestGateConfig:
     def test_empty_or_non_positive_memristances_rejected(self, inputs, thresholds, message):
         with pytest.raises(ValueError, match=message):
             GateConfig(inputs, thresholds)
+
+    @pytest.mark.parametrize("inputs, thresholds, levels", [
+        ((1e-320, 1e3), (1e3,), VoltageLevels()),  # 1 / m overflows
+        ((1e-308, 1e-308), (1e3,), VoltageLevels()),  # each 1 / m is finite, the sum is not
+        ((1e-3,), (1e-3,), VoltageLevels(v_dd=1e306, v_high=1e307)),  # v_dd * sum is not
+    ])
+    def test_overflowing_current_rejected(self, inputs, thresholds, levels):
+        # the float path once compared inf * 0 = nan there and printed a wrong row
+        with pytest.raises(ValueError, match="summed conductance of the gate overflows"):
+            GateConfig(inputs, thresholds, levels)
+
+    def test_largest_finite_currents_accepted(self):
+        cfg = GateConfig((1e-308, 1e3), (1e3,))
+        assert truth_table(cfg).outputs == (0, 1, 1, 1)

@@ -22,6 +22,8 @@ from oracles import exact_truth_table
 
 resistance = st.floats(min_value=1e3, max_value=1e7, allow_nan=False,
                        allow_infinity=False)
+# 2^e ohm for e uniform from the smallest subnormal to the largest finite float
+log_uniform_memristance = st.floats(-1074, 1024, exclude_max=True).map(lambda e: 2.0 ** e)
 
 
 @st.composite
@@ -99,6 +101,21 @@ class TestGateInvariants:
             input_wins=cfg.tie_rule is TieRule.INPUT_WINS,
         )
         assert got == want
+
+    @given(st.lists(log_uniform_memristance, min_size=1, max_size=4),
+           st.lists(log_uniform_memristance, min_size=1, max_size=2),
+           st.sampled_from(list(TieRule)))
+    @settings(max_examples=300)
+    def test_any_positive_memristances_refused_or_exact(self, ms, ths, tie):
+        # below about 1e-308 ohm a conductance or a row sum once overflowed,
+        # and inf * 0 = nan decided rows against the exact oracle
+        try:
+            cfg = GateConfig(ms, ths, tie_rule=tie)
+        except ValueError:
+            assert math.isinf(VoltageLevels().v_dd * sum(1.0 / m for m in ms + ths))
+            return
+        want = exact_truth_table(ms, ths, input_wins=tie is TieRule.INPUT_WINS)
+        assert truth_table(cfg).outputs == want
 
     @given(st.one_of(gate_configs(max_n=8), near_tie_configs()))
     def test_truth_table_agrees_with_rowwise_evaluate(self, cfg):

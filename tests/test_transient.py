@@ -16,6 +16,7 @@ from mtlg.gate import (
 from mtlg.transient import (
     ClockSpec,
     TransientParams,
+    WaveformTrace,
     isolation_inverter,
     settle_time,
     simulate,
@@ -36,6 +37,11 @@ class TestSettleTime:
     def test_below_metastability_floor(self):
         delta = 0.5 * PARAMS.v_meta_floor / PARAMS.r_sense
         assert settle_time(delta, PARAMS, LEVELS) is None
+
+    def test_overflowing_imbalance_settles_instantly(self):
+        # |delta_i| * r_sense is inf here; the log of 0 once raised a domain error
+        assert settle_time(1e305, PARAMS, LEVELS) == 0.0
+        assert settle_time(-1e305, PARAMS, LEVELS) == 0.0
 
     def test_half_rail_imbalance_settles_instantly(self):
         delta = (LEVELS.v_dd / 2) / PARAMS.r_sense
@@ -185,6 +191,19 @@ def reference_rows(cols) -> str:
     return "".join(",".join(f"{float(v):.9g}" for v in row) + "\n" for row in zip(*cols))
 
 
+def assert_wave_csv_matches(cols):
+    """write_csv of a trace built from at least 7 columns (time, clock, the
+    inputs, ca, co, cabar, cobar, resolved) is its header and reference_rows."""
+    n = len(cols) - 7
+    trace = WaveformTrace(cols[0], cols[1], np.array(cols[2:2 + n]).reshape(n, len(cols[0])),
+                          *cols[2 + n:], cycle_resolved=())
+    buf = io.StringIO()
+    write_csv(trace, buf)
+    header = ",".join(["t_s", "clk_v", *(f"in{i + 1}_v" for i in range(n)),
+                       "ca_v", "co_v", "cabar_v", "cobar_v", "resolved"])
+    assert buf.getvalue() == header + "\n" + reference_rows(cols)
+
+
 # bit patterns that print alike or apart for reasons other than their value:
 # signed zeros and infinities, NaNs of both signs with different payloads,
 # the smallest subnormals and the largest finite values
@@ -210,11 +229,18 @@ class TestWriteRows:
 
     @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 8193])
     def test_block_edges(self, rows):
-        cols = [np.arange(rows) * 1e-5, np.arange(rows) % 7 - 3.5,
-                np.arange(rows) % 3 == 0]
+        # the first columns change on every row; the rest hold still over runs
+        # that end on one column alone, some runs across a block edge, and at
+        # row 25 (and every 50 rows on) on the sign of a zero alone
+        k = np.arange(rows)
+        cols = [k * 1e-5, k % 7 - 3.5, k % 3 == 0, k // 10 % 2, k // 50 * 0.5,
+                np.where(k // 25 % 2, 0.0, -0.0), np.full(rows, -np.inf), k // 4090 * 1.0,
+                (k // 7 % 3).astype(np.int8)]
         buf = io.StringIO()
         write_rows(buf, cols)
         assert buf.getvalue() == reference_rows(cols)
+        assert_wave_csv_matches(cols)
+        assert_wave_csv_matches([cols[0], *cols[3:]])
 
     def test_single_column_ends_each_row(self):
         buf = io.StringIO()
@@ -244,9 +270,14 @@ class TestWriteRows:
                 else rng.integers(-2**63, 2**63, rows, np.int64)
                 for _ in range(n_cols)]
         cols = [c.view(float) for c in cols]
+        if rng.random() < 0.5:  # repeat whole rows, so runs of equal rows form
+            repeat = np.sort(rng.integers(0, rows, rows))
+            cols = [c[repeat] for c in cols]
         buf = io.StringIO()
         write_rows(buf, cols)
         assert buf.getvalue() == reference_rows(cols)
+        # a trace has at least 7 columns: fewer drawn ones are repeated
+        assert_wave_csv_matches((cols * 7)[:max(7, n_cols)])
 
     def test_no_rows_writes_nothing(self):
         buf = io.StringIO()
