@@ -76,6 +76,13 @@ class ProjectConfig:
     clock: ClockSpec = field(default_factory=ClockSpec)
     seed: int | None = None
 
+    def __post_init__(self):
+        # apply_pulse programs a cell at |v| >= v_prog_threshold, a read too
+        if not abs(self.levels.v_dd) < self.device.v_prog_threshold:
+            raise ValueError(f"levels.v_dd_v {self.levels.v_dd} must be below "
+                             f"device.v_prog_threshold_v {self.device.v_prog_threshold} "
+                             f"in magnitude, or every read programs the cells")
+
 
 # section -> (constructor, file key -> field name)
 _SECTIONS = {
@@ -168,12 +175,10 @@ def load_project_config(path) -> ProjectConfig:
             kwargs[name] = cls(**fields)
         except ValueError as e:
             raise ParseError(f"{name}: {e}") from None
-    config = ProjectConfig(**kwargs)
-    if not config.levels.v_dd < config.device.v_prog_threshold:
-        raise ParseError(f"levels.v_dd_v {config.levels.v_dd} must be below "
-                         f"device.v_prog_threshold_v {config.device.v_prog_threshold}, "
-                         f"or every read programs the cells")
-    return config
+    try:
+        return ProjectConfig(**kwargs)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
 
 
 def parse_tie_rule(value: str) -> TieRule:

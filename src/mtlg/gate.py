@@ -8,6 +8,7 @@ All memristances are in ohms, voltages in volts, currents in amperes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -69,10 +70,13 @@ class GateConfig:
         for m in self.input_memristances + self.threshold_memristances:
             if not (m > 0):
                 raise ValueError(f"memristance must be positive, got {m}")
-        # bounds every branch current and row sum the float path forms
-        g_total = sum(1.0 / m for m in self.input_memristances + self.threshold_memristances)
-        if not math.isfinite(self.levels.v_dd * g_total):
-            raise ValueError("v_dd times the summed conductance of the gate overflows a float")
+        # every nonzero current the float path forms lies between v_dd times the
+        # least conductance and v_dd times their sum; below the normal floats
+        # the tie band loses its precision, past the largest they overflow
+        g, g_t = _conductances(self)
+        v = self.levels.v_dd
+        if not (sys.float_info.min <= v * min(*g, g_t) and math.isfinite(v * (sum(g) + g_t))):
+            raise ValueError(f"branch currents at v_dd {v:g} V leave the normal float range")
 
     @property
     def n(self) -> int:

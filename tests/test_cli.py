@@ -110,8 +110,17 @@ class TestTruth:
         # once exit 0 with row 01 printed as 0: the exact row 01 is a tie
         code, out, err = run(capsys, "truth", "--weights", "1e-320,1k;1k")
         assert code == 3 and out == ""
-        assert err == ("error: v_dd times the summed conductance of the gate "
-                       "overflows a float\n")
+        assert err == "error: branch currents at v_dd 0.65 V leave the normal float range\n"
+
+    def test_subnormal_currents_exit_3(self, capsys, tmp_path):
+        # once exit 0 with row 1 printed as a tie (0 under threshold_wins):
+        # both currents rounded to one subnormal, the exact ones differ by 1e-7
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("levels: {v_dd_v: 1e-315}\n")
+        code, out, err = run(capsys, "truth", "--config", str(cfg), "--weights",
+                             "100k;100.00001k", "--tie-rule", "threshold_wins")
+        assert code == 3 and out == ""
+        assert err == "error: branch currents at v_dd 1e-315 V leave the normal float range\n"
 
     def test_missing_netlist_file_exit_2(self, capsys, tmp_path):
         missing = tmp_path / "missing.yaml"

@@ -12,6 +12,7 @@ from mtlg.files import (
     parse_weights,
     save_gate_config,
 )
+from mtlg.device import DeviceModel
 from mtlg.gate import GateConfig, TieRule
 from mtlg.netlist import network_truth_table, validate
 from mtlg.transient import ClockSpec
@@ -113,12 +114,19 @@ class TestProjectConfig:
          "levels.v_dd_v 0.65 must be below device.v_prog_threshold_v 0.5"),
         ("device: {v_prog_threshold_v: 0.8}\nlevels: {v_dd_v: 0.8}\n",
          "levels.v_dd_v 0.8 must be below device.v_prog_threshold_v 0.8"),
+        # apply_pulse compares |v|: a negative supply programs the cells alike
+        ("levels: {v_low_v: -2, v_dd_v: -1.5, v_high_v: 0}\n",
+         "levels.v_dd_v -1.5 must be below device.v_prog_threshold_v 1.0 in magnitude"),
     ])
     def test_section_errors(self, tmp_path, text, message):
         p = tmp_path / "cfg.yaml"
         p.write_text(text)
         with pytest.raises(ParseError, match=re.escape(message)):
             load_project_config(p)
+
+    def test_read_voltage_checked_without_a_file(self):
+        with pytest.raises(ValueError, match="must be below device.v_prog_threshold_v 0.5"):
+            ProjectConfig(device=DeviceModel(v_prog_threshold=0.5))
 
     def test_empty_sections_give_defaults(self, tmp_path):
         p = tmp_path / "cfg.yaml"

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -380,11 +381,26 @@ class TestGateConfig:
         ((1e-320, 1e3), (1e3,), VoltageLevels()),  # 1 / m overflows
         ((1e-308, 1e-308), (1e3,), VoltageLevels()),  # each 1 / m is finite, the sum is not
         ((1e-3,), (1e-3,), VoltageLevels(v_dd=1e306, v_high=1e307)),  # v_dd * sum is not
+        # both currents near 1e-320, subnormal: they rounded to one value and
+        # row 1 read as a tie, where the exact currents differ by 1e-7
+        ((100e3,), (100.00001e3,), VoltageLevels(v_dd=1e-315)),
+        ((100e3,), (100e3,), VoltageLevels(v_dd=1e-310)),  # 1e-315: subnormal too
+        ((10e3,), (10e3,), VoltageLevels(v_dd=0.0, v_low=-1.0)),  # every current is 0
+        ((10e3,), (20e3,), VoltageLevels(v_dd=-0.5, v_low=-1.0)),  # signed currents flip ">"
     ])
-    def test_overflowing_current_rejected(self, inputs, thresholds, levels):
-        # the float path once compared inf * 0 = nan there and printed a wrong row
-        with pytest.raises(ValueError, match="summed conductance of the gate overflows"):
+    def test_currents_outside_normal_floats_rejected(self, inputs, thresholds, levels):
+        # the float path once decided rows there against the exact oracle
+        with pytest.raises(ValueError, match="leave the normal float range"):
             GateConfig(inputs, thresholds, levels)
+
+    def test_least_normal_current_accepted(self):
+        v = sys.float_info.min * 2**13  # exactly the least normal float over 2^13 ohm
+        th = (2**13 * (1 - 1e-8),)
+        cfg = GateConfig((2**13,), th, VoltageLevels(v_dd=v))
+        assert branch_currents(cfg, (1,)).i_in == sys.float_info.min
+        assert truth_table(cfg).outputs == exact_truth_table((2**13,), th) == (0, 0)
+        with pytest.raises(ValueError, match="leave the normal float range"):
+            GateConfig((2**13,), th, VoltageLevels(v_dd=v / 2))
 
     def test_largest_finite_currents_accepted(self):
         cfg = GateConfig((1e-308, 1e3), (1e3,))

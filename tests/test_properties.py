@@ -2,6 +2,8 @@
 
 import math
 import struct
+import sys
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,8 +24,8 @@ from oracles import exact_truth_table
 
 resistance = st.floats(min_value=1e3, max_value=1e7, allow_nan=False,
                        allow_infinity=False)
-# 2^e ohm for e uniform from the smallest subnormal to the largest finite float
-log_uniform_memristance = st.floats(-1074, 1024, exclude_max=True).map(lambda e: 2.0 ** e)
+# 2^e for e uniform from the smallest subnormal to the largest finite float
+log_uniform = st.floats(-1074, 1024, exclude_max=True).map(lambda e: 2.0 ** e)
 
 
 @st.composite
@@ -102,17 +104,25 @@ class TestGateInvariants:
         )
         assert got == want
 
-    @given(st.lists(log_uniform_memristance, min_size=1, max_size=4),
-           st.lists(log_uniform_memristance, min_size=1, max_size=2),
-           st.sampled_from(list(TieRule)))
-    @settings(max_examples=300)
-    def test_any_positive_memristances_refused_or_exact(self, ms, ths, tie):
-        # below about 1e-308 ohm a conductance or a row sum once overflowed,
-        # and inf * 0 = nan decided rows against the exact oracle
+    @given(st.lists(log_uniform, min_size=1, max_size=4),
+           st.lists(log_uniform, min_size=1, max_size=2),
+           st.sampled_from(list(TieRule)),
+           st.one_of(log_uniform, log_uniform.map(lambda v: -v), st.just(0.0)))
+    @settings(max_examples=400)
+    def test_any_positive_memristances_refused_or_exact(self, ms, ths, tie, v_dd):
+        # memristances below about 1e-308 ohm once overflowed a conductance or
+        # a row sum, and a tiny supply rounded distinct currents to one
+        # subnormal; either way rows were decided against the exact oracle
+        levels = VoltageLevels(v_dd=v_dd, v_high=math.inf, v_low=-math.inf)
         try:
-            cfg = GateConfig(ms, ths, tie_rule=tie)
+            cfg = GateConfig(ms, ths, levels, tie)
         except ValueError:
-            assert math.isinf(VoltageLevels().v_dd * sum(1.0 / m for m in ms + ths))
+            # refused only where an exact current falls below the normal floats
+            # or a conductance sum or current exceeds the largest one
+            g = [1 / Fraction(m) for m in ms] + [sum(1 / Fraction(m) for m in ths)]
+            v = Fraction(v_dd)
+            assert (v * min(g) < sys.float_info.min
+                    or max(sum(g), v * sum(g)) > sys.float_info.max)
             return
         want = exact_truth_table(ms, ths, input_wins=tie is TieRule.INPUT_WINS)
         assert truth_table(cfg).outputs == want
