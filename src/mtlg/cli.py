@@ -127,8 +127,12 @@ def cmd_boundary(args) -> int:
         )
         if bm is not None:
             fh.write(",".join(f"a{i + 1}" for i in range(gate.n)) + ",class\n")
-            coords = np.meshgrid(*bm.axes, indexing="ij")
-            tr_mod.write_rows(fh, [a.ravel() for a in coords] + [bm.grid.ravel()])
+            # each axis value formatted once; one a1 slice of rows per write
+            axes = [np.array([f"{v:.9g}," for v in a.tolist()], object) for a in bm.axes]
+            rest = functools.reduce(np.add.outer, axes[1:]).ravel()
+            labels = np.array(["0\n", "1\n"], object)
+            for a1, grid in zip(axes[0].tolist(), bm.grid):
+                fh.write("".join((a1 + rest + labels[grid.ravel()]).tolist()))
     return EXIT_OK
 
 

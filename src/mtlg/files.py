@@ -132,9 +132,11 @@ def _sequence(value, where) -> list:
 def _number(value, where, kind=float):
     """kind(value) for a numeric field. Strings are accepted (YAML 1.1 reads
     '1.0e6' as one); an int field rejects a float with a fractional part, and
-    every field rejects infinity and NaN."""
+    every field rejects booleans (YAML reads on, yes and true as True),
+    infinity and NaN."""
     try:
-        if kind is int and isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
             raise ValueError
         number = kind(value)
         if not -math.inf < number < math.inf:

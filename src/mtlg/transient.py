@@ -157,31 +157,14 @@ def _texts(col, end):
     return np.fromiter(text, object, len(values))[index]
 
 
-def write_rows(fh, columns) -> None:
-    """Write equal-length numeric columns as CSV rows, every value as %.9g.
-
-    Rows go out in blocks of a fixed size, each written as one join of the
-    cells that `_texts` formats for each column of the block.
-    """
-    columns = [np.asarray(col, dtype=float) for col in columns]
-    ends = [","] * (len(columns) - 1) + ["\n"]
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        cells = np.empty((min(_BLOCK_ROWS, len(columns[0]) - start), len(columns)), object)
-        for j, (col, end) in enumerate(zip(columns, ends)):
-            cells[:, j] = _texts(col[start:start + _BLOCK_ROWS], end)
-        fh.write("".join(cells.ravel().tolist()))
-
-
 def write_csv(trace: WaveformTrace, fh) -> None:
     """Stable CSV emission: fixed header, 9 significant digits, time-ordered.
 
     Only the time changes on every sample. Within each block of rows, the
     text after the time is built once per run of rows whose other columns
     repeat the row before by bit pattern, and the block goes out as one
-    format of each row's time and its run's text: the bytes of `write_rows`
-    on the same columns. A block whose runs are mostly one row long, as when
-    the latch settles over many samples, goes through `write_rows` instead,
-    which is faster there.
+    format of each row's time and its run's text. Every value prints as its
+    own "%.9g" would.
     """
     n = trace.inputs.shape[0]
     cols = ["t_s", "clk_v"]
@@ -194,13 +177,9 @@ def write_csv(trace: WaveformTrace, fh) -> None:
         bits = np.array([col[start:start + _BLOCK_ROWS] for col in tail], float).view(np.int64)
         new_run = np.ones(bits.shape[1], bool)
         new_run[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
-        time = trace.time[start:start + _BLOCK_ROWS]
-        if new_run.mean() > 0.7:  # measured break-even of the two writers
-            write_rows(fh, [time, *bits.view(float)])
-            continue
         firsts = bits[:, new_run].view(float)  # each run's first row, per column
         runs = np.add.reduce([_texts(col, end) for col, end in zip(firsts, ends)])
         args = [None] * (2 * bits.shape[1])
-        args[0::2] = time.tolist()
+        args[0::2] = trace.time[start:start + _BLOCK_ROWS].tolist()
         args[1::2] = runs[np.cumsum(new_run) - 1].tolist()
         fh.write(("%.9g,%s" * bits.shape[1]) % tuple(args))

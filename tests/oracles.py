@@ -13,6 +13,11 @@ adds the conductances of each row as Fractions, one row at a time.
 ``reference_witness`` checks the array search for an infeasibility witness in
 ``mtlg.synth`` with a loop over rows and bits.
 
+``reference_rows`` checks the CSV rows of ``mtlg wave`` and ``mtlg boundary``:
+it formats every value on its own and joins every row on its own.
+``assert_same_text`` compares two such texts and reports the first line that
+differs, not a diff of the whole text.
+
 ``reference_program_to_target`` is ``mtlg.device.program_to_target`` as it was
 before the planner skipped schedules it can rule out: it replans by trying every
 schedule length from 1 up and builds each schedule's full digit list.
@@ -43,6 +48,24 @@ from mtlg.synth import VerifyReport
 from mtlg.transient import ClockSpec, TransientParams, WaveformTrace, settle_time
 
 TIE_EPS = Fraction(1, 10 ** 9)
+
+
+def reference_rows(cols) -> str:
+    """Every value formatted on its own, every row joined on its own."""
+    return "".join(",".join(f"{float(v):.9g}" for v in row) + "\n" for row in zip(*cols))
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, failing on the line count and then on the first line that
+    differs: a plain == makes pytest diff the whole texts, which takes minutes
+    on a CSV of hundreds of kB."""
+    if got == want:
+        return
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    if len(got_lines) != len(want_lines):
+        raise AssertionError(f"{len(got_lines)} lines, expected {len(want_lines)}")
+    i = next(i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w)
+    raise AssertionError(f"line {i + 1}: {got_lines[i]!r}, expected {want_lines[i]!r}")
 
 
 def exact_branch_currents(input_ms, th_ms, bits, v_dd):

@@ -5,11 +5,14 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mtlg
-from mtlg import cli
+from mtlg import cli, files
 from mtlg.cli import build_parser, main
+from mtlg.gate import GateConfig, TieRule, boundary_grid
+from oracles import assert_same_text, reference_rows
 
 XOR_NETLIST = """\
 inputs: 2
@@ -202,6 +205,31 @@ class TestBoundary:
             rows = out.splitlines()[4:]
             corners = [rows[0], rows[res - 1], rows[res * (res - 1)], rows[-1]]
             assert corners == want
+
+    def assert_rows_match_reference(self, capsys, weights, res, tie):
+        code, out, _ = run(capsys, "boundary", "--weights", weights, "--res", str(res),
+                           "--tie-rule", tie)
+        gate = GateConfig(*files.parse_weights(weights), tie_rule=TieRule(tie))
+        bm = boundary_grid(gate, res)
+        cols = [a.ravel() for a in np.meshgrid(*bm.axes, indexing="ij")] + [bm.grid.ravel()]
+        header = ",".join(f"a{i + 1}" for i in range(gate.n)) + ",class\n"
+        assert code == 0
+        assert_same_text(out.split("\n", 3)[3], header + reference_rows(cols))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rows_match_per_value_formatting(self, capsys, seed):
+        # n = 2 and 3 under both tie rules: seeds 0..3 cover all four pairs
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 2
+        ms = rng.uniform(5e3, 200e3, n + 1)
+        weights = ",".join(f"{m:.6g}" for m in ms[:n]) + f";{ms[n]:.6g}"
+        tie = ("input_wins", "threshold_wins")[seed // 2 % 2]
+        self.assert_rows_match_reference(capsys, weights, int(rng.integers(2, 71)), tie)
+
+    @pytest.mark.parametrize("tie", ["input_wins", "threshold_wins"])
+    @pytest.mark.parametrize("res", [2, 3, 70])
+    def test_rows_match_per_value_formatting_at_exact_ties(self, capsys, res, tie):
+        self.assert_rows_match_reference(capsys, "3M,3M;3M", res, tie)
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -503,6 +531,19 @@ class TestBadInput:
                           PROGRAM_WITH_CONFIG, "device.seed: expected an integer"),
         "bits_fraction": ("device: {bits: 2.5}\n", EVAL_WITH_CONFIG,
                           "device.bits: expected an integer"),
+        # YAML booleans: bits once read as 1, and synth exited 0 with "FAILS at row 1"
+        "bits_true": ("device: {bits: true}\n", ("synth", "--config", "{file}", "--target",
+                                                "AND", "--n", "2"),
+                      "device.bits: expected an integer, got True"),
+        "seed_yes": ("device: {seed: yes, noise_sigma_rel: 0.01}\n", PROGRAM_WITH_CONFIG,
+                     "device.seed: expected an integer, got True"),
+        "tau_on": ("transient: {tau_s: on}\n", WAVE_WITH_CONFIG,
+                   "transient.tau_s: expected a number, got True"),
+        "netlist_inputs_true": ("inputs: true\n"
+                                "gates: [{name: g, inputs: [10k], threshold: [10k]}]\n"
+                                "wires: [{from: in1, to: g.1}]\noutputs: [g.CA]\n",
+                                ("truth", "--netlist", "{file}"),
+                                "inputs: expected an integer, got True"),
         "netlist_gates_scalar": ("inputs: 1\ngates: 5\n", ("truth", "--netlist", "{file}"),
                                  "gates: expected a list"),
         "netlist_outputs_scalar": ("inputs: 1\noutputs: 5\n",
@@ -625,8 +666,8 @@ class TestNetlistDiagnostics:
 
 class TestGoldenCsv:
     """SHA-256 of the stdout of fixed wave and boundary runs, recorded before
-    the sampler and the CSV writers worked on arrays; the two block-edge cases
-    were recorded while write_rows still joined each row on its own."""
+    the sampler and the CSV writers worked on arrays; the two 4096-row cases
+    were recorded while one shared writer still joined each row on its own."""
 
     CASES = {
         "wave_n1": (["wave", "--weights", "50k;60k", "--inputs", "1,0,1,1,0"],
@@ -650,7 +691,7 @@ class TestGoldenCsv:
                                "a140002f2050727941e9f71b9bfbe32633cc6a950e53313e2b13fcae3ef7f5ef"),
         "boundary_n3_res41": (["boundary", "--weights", "60k,45k,30k;40k", "--res", "41"],
                               "50b5a44f24c376c5f01030aa1595d178861da7d721838140ab8f002833e9725a"),
-        # 64 x 64 = 4096 rows: exactly one full block of write_rows
+        # 64 x 64 = 4096 rows: recorded as exactly one full 4096-row block
         "boundary_n2_res64": (["boundary", "--weights", "3M,3M;4M", "--res", "64"],
                               "e74675ce0b5df9fb0d96daa680dd9eed66dbcf0625110da47efa5cb552ecc841"),
         # 21 cycles x 200 samples = 4200 rows: crosses one block edge

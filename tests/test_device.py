@@ -82,6 +82,15 @@ class TestApplyPulse:
         assert a.resistance == b.resistance
         assert a.resistance != apply_pulse(s, 2.0, np.random.default_rng(8)).resistance
 
+    @pytest.mark.parametrize("amplitude", [2.0, -2.0])
+    def test_noise_without_a_generator_stays_in_range(self, amplitude):
+        # noise of 50% pushes most pulses from either end past it
+        m = DeviceModel(noise_sigma_rel=0.5)
+        out = {apply_pulse(MemristorState(r, m), amplitude).resistance
+               for r in (m.r_min, m.r_max) for _ in range(50)}
+        assert all(m.r_min <= r <= m.r_max for r in out)
+        assert len(out) > 2  # the pulses drew noise
+
 
 class TestQuantize:
     def test_endpoints(self):

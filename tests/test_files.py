@@ -105,6 +105,11 @@ class TestProjectConfig:
         # once passed here, then failed in NumPy only when noise needed the rng
         ("device: {seed: -1}\n", "device.seed: expected an integer >= 0, got -1"),
         ("levels: {v_dd_v: abc}\n", "levels.v_dd_v: expected a number"),
+        # YAML booleans once passed as the numbers 1 and 0
+        ("device: {bits: true}\n", "device.bits: expected an integer, got True"),
+        ("device: {seed: yes}\n", "device.seed: expected an integer, got True"),
+        ("transient: {tau_s: on}\n", "transient.tau_s: expected a number, got True"),
+        ("clock: {duty_eq: off}\n", "clock.duty_eq: expected a number, got False"),
         ("levels: [1, 2]\n", "levels: expected a mapping"),
         ("clock: {period: 1}\n", "clock: unknown key 'period'"),
         ("- device\n", "expected a mapping, got list"),
@@ -262,6 +267,8 @@ class TestNetlistFile:
         ("gates: []\n", "inputs: expected an integer, got None"),
         # a negative count once passed as a netlist and failed validation
         ("inputs: -1\n", "inputs: expected an integer >= 0, got -1"),
+        # once read as one input
+        ("inputs: true\n", "inputs: expected an integer, got True"),
         ("inputs: 1\ngates: 5\n", "gates: expected a list"),
         ("inputs: 1\ngates: [5]\n", "gates[0]: expected a mapping"),
         ("inputs: 1\ngates: [{name: g, inputs: [1k], threshold: [1k], x: 1}]\n",

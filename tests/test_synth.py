@@ -3,11 +3,12 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtlg import synth
+from mtlg import cli, synth
 from mtlg.device import DeviceModel
 from mtlg.gate import GateConfig, TieRule, TruthTable, bits_of_index, truth_table
 from mtlg.synth import (
@@ -191,6 +192,34 @@ class TestSingleLp:
         with pytest.raises(DeviceRangeError):
             synthesize(SynthesisSpec(AND2, device=narrow, min_margin_rel=0.45))
         assert lp_ratios == [2.0, None]
+
+
+class TestLpFailure:
+    """What a margin LP that HiGHS reports as failed leads to. The margin is a
+    free variable, so the LP always has a solution, and only a solver failure
+    ends here; the table is then reported as not realizable, without witness."""
+
+    @pytest.fixture(autouse=True)
+    def failing_linprog(self, monkeypatch):
+        monkeypatch.setattr("scipy.optimize.linprog",
+                            lambda *args, **kwargs: SimpleNamespace(success=False))
+
+    def test_check_separability_reports_no_witness(self):
+        assert check_separability(AND2) == (False, None)
+
+    def test_synthesize_reports_infeasible(self):
+        res = synthesize(SynthesisSpec(AND2))
+        assert not res.feasible and res.infeasibility_witness is None
+
+    def test_witness_targets_never_reach_the_lp(self):
+        res = synthesize(SynthesisSpec(XOR2))
+        assert not res.feasible and res.infeasibility_witness is not None
+
+    def test_cli_exit_3_without_witness(self, capsys):
+        code = cli.main(["synth", "--target", "AND", "--n", "2"])
+        out = capsys.readouterr()
+        assert code == 3 and out.out == ""
+        assert out.err == "error: target is not realizable with positive weights;\n"
 
 
 def _report_fields(report):
