@@ -2,7 +2,7 @@
 
 Exit codes: 0 ok, 2 usage/parse errors and unreadable or unwritable files,
 3 model errors (infeasible target, out-of-range device request, netlist
-diagnostics, unresolved evaluation).
+diagnostics, unresolved evaluation, a failed margin LP).
 """
 
 from __future__ import annotations
@@ -37,23 +37,16 @@ class ModelError(Exception):
     pass
 
 
-def _load_config(args) -> files.ProjectConfig:
-    if args.config:
-        return files.load_project_config(args.config)
-    return files.ProjectConfig()
-
-
 def _tie_rule(args, default) -> TieRule:
     """--tie-rule if given, else the tie rule of `default` (a config or gate)."""
-    return files.parse_tie_rule(args.tie_rule) if args.tie_rule else default.tie_rule
+    return default.tie_rule if args.tie_rule is None else files.parse_tie_rule(args.tie_rule)
 
 
 def _gate_from_args(args, cfg: files.ProjectConfig) -> GateConfig:
-    if args.gate_file:
+    """The gate of --gate-file or --weights; argparse lets exactly one through."""
+    if args.gate_file is not None:
         gc = files.load_gate_config(args.gate_file, cfg.levels, cfg.tie_rule)
         return replace(gc, tie_rule=_tie_rule(args, gc))
-    if not args.weights:
-        raise files.ParseError("need --weights or --gate-file")
     ms, ths = files.parse_weights(args.weights)
     return GateConfig(ms, ths, levels=cfg.levels, tie_rule=_tie_rule(args, cfg))
 
@@ -71,8 +64,7 @@ def _open_out(path):
     return open(path, "w")
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args)
+def cmd_eval(args, cfg: files.ProjectConfig) -> int:
     gate = _gate_from_args(args, cfg)
     out = evaluate(gate, _parse_bits(args.input))
     print(f"CA={out.ca} CO={out.co} Iin={out.i_in:.5g} Ith={out.i_th:.5g}")
@@ -85,9 +77,8 @@ def _print_table(tt, prefix=""):
     print("\n".join(rows))
 
 
-def cmd_truth(args) -> int:
-    cfg = _load_config(args)
-    if args.netlist:
+def cmd_truth(args, cfg: files.ProjectConfig) -> int:
+    if args.netlist is not None:
         net = files.parse_netlist_file(args.netlist, cfg.levels, cfg.tie_rule)
         net = replace(net, gates={name: replace(g, tie_rule=_tie_rule(args, g))
                                   for name, g in net.gates.items()})
@@ -102,8 +93,7 @@ def cmd_truth(args) -> int:
     return EXIT_OK
 
 
-def cmd_boundary(args) -> int:
-    cfg = _load_config(args)
+def cmd_boundary(args, cfg: files.ProjectConfig) -> int:
     gate = _gate_from_args(args, cfg)
     g, g_t = decision_hyperplane(gate)
     try:
@@ -136,8 +126,7 @@ def cmd_boundary(args) -> int:
     return EXIT_OK
 
 
-def cmd_wave(args) -> int:
-    cfg = _load_config(args)
+def cmd_wave(args, cfg: files.ProjectConfig) -> int:
     gate = _gate_from_args(args, cfg)
     seq = [_parse_bits(v) for v in args.inputs.split(",")]
     trace = tr_mod.simulate(gate, seq, cfg.clock, cfg.transient)
@@ -146,8 +135,9 @@ def cmd_wave(args) -> int:
     return EXIT_OK
 
 
-def cmd_synth(args) -> int:
-    cfg = _load_config(args)
+def cmd_synth(args, cfg: files.ProjectConfig) -> int:
+    if args.quantized and args.out is None:
+        raise files.ParseError("--quantized needs --out")
     tie = _tie_rule(args, cfg)
     tap = "CA"
     target = args.target.strip()
@@ -184,7 +174,7 @@ def cmd_synth(args) -> int:
           + f";{q.threshold_memristances[0]:.6g}"
           + (" (verified)" if result.quantized_ok
              else f" (FAILS at row {result.quantized_failure_row})"))
-    if args.out:
+    if args.out is not None:
         files.save_gate_config(q if args.quantized else GateConfig(
             result.memristances, (result.threshold_memristance,),
             levels=cfg.levels, tie_rule=tie), args.out)
@@ -192,11 +182,10 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_program(args) -> int:
-    cfg = _load_config(args)
+def cmd_program(args, cfg: files.ProjectConfig) -> int:
     model = cfg.device
     target = files.parse_resistance(args.target)
-    start = files.parse_resistance(args.start) if args.start else model.r_max
+    start = model.r_max if args.start is None else files.parse_resistance(args.start)
     rng = np.random.default_rng(cfg.seed) if model.noise_sigma_rel > 0 else None
     state = dev_mod.MemristorState(resistance=start, model=model)
     result = dev_mod.program_to_target(
@@ -216,37 +205,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, gate=True):
+    def common(sp, tie_rule=True):
         sp.add_argument("--config", help="project config file (YAML)")
-        sp.add_argument("--tie-rule", dest="tie_rule",
-                        help="input_wins or threshold_wins")
-        if gate:
-            sp.add_argument("--weights",
-                            help="M1,...,Mn;TH1,... with k/M suffixes")
-            sp.add_argument("--gate-file", dest="gate_file",
-                            help="gate config file written by synth")
+        if tie_rule:
+            sp.add_argument("--tie-rule", help="input_wins or threshold_wins")
+
+    def gate_source(sp):
+        """The one gate a command reads: exactly one of these options."""
+        common(sp)
+        src = sp.add_mutually_exclusive_group(required=True)
+        src.add_argument("--weights", help="M1,...,Mn;TH1,... with k/M suffixes")
+        src.add_argument("--gate-file", help="gate config file written by synth")
+        return src
 
     sp = sub.add_parser("eval", help="evaluate one input vector")
-    common(sp)
+    gate_source(sp)
     sp.add_argument("--input", required=True, help="bit string, e.g. 11")
 
     sp = sub.add_parser("truth", help="full truth table with classification")
-    common(sp)
-    sp.add_argument("--netlist", help="netlist file instead of a single gate")
+    gate_source(sp).add_argument("--netlist", help="netlist file instead of a single gate")
 
     sp = sub.add_parser("boundary", help="decision-boundary grid over [0,1]^n")
-    common(sp)
+    gate_source(sp)
     sp.add_argument("--res", type=int, default=101, help="grid resolution per axis")
     sp.add_argument("--out", help="output CSV path (default stdout)")
 
     sp = sub.add_parser("wave", help="two-phase transient waveform CSV")
-    common(sp)
+    gate_source(sp)
     sp.add_argument("--inputs", required=True,
                     help="comma-separated input vectors, one per clock cycle")
     sp.add_argument("--out", help="output CSV path (default stdout)")
 
     sp = sub.add_parser("synth", help="synthesize weights for a Boolean target")
-    common(sp, gate=False)
+    common(sp)
     sp.add_argument("--target", required=True,
                     help="AND, OR, NAND, NOR, XOR, XNOR, MAJ:k, DICT:i, or a "
                          "truth-table bitstring (all-ones input first)")
@@ -255,14 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="required relative current margin")
     sp.add_argument("--out", help="write the synthesized gate config here")
     sp.add_argument("--quantized", action="store_true",
-                    help="write the quantized config instead of the continuous one")
+                    help="write the quantized config instead of the continuous one "
+                         "(needs --out)")
 
     sp = sub.add_parser("program", help="closed-loop device programming emulation")
-    common(sp, gate=False)
+    common(sp, tie_rule=False)
     sp.add_argument("--target", required=True, help="target resistance, e.g. 33k")
     sp.add_argument("--start", help="starting resistance (default r_max)")
     sp.add_argument("--tol", type=float, default=0.01, help="relative tolerance")
-    sp.add_argument("--max-pulses", dest="max_pulses", type=int, default=200)
+    sp.add_argument("--max-pulses", type=int, default=200)
     return p
 
 
@@ -272,14 +264,16 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_USAGE
     try:
+        cfg = (files.ProjectConfig() if args.config is None
+               else files.load_project_config(args.config))
         # by name at call time: the parser is built once, and a wrapper put on
         # a cmd_* attribute of this module afterwards must still be called
-        return globals()[f"cmd_{args.command}"](args)
+        return globals()[f"cmd_{args.command}"](args, cfg)
     except (files.ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (ModelError, ValueError, net_mod.NetlistError, synth_mod.DeviceRangeError,
-            dev_mod.ProgramTimeoutError) as e:
+            synth_mod.SolverError, dev_mod.ProgramTimeoutError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MODEL
 

@@ -31,6 +31,10 @@ from .gate import (
 _STRICT_EPS = 1e-9
 
 
+class SolverError(Exception):
+    """HiGHS failed on a margin LP, which always has a solution."""
+
+
 class DeviceRangeError(Exception):
     """Target is separable but not at the required margin within the device's
     conductance ratio."""
@@ -84,7 +88,8 @@ def _margin_lp(tt: TruthTable, ratio: float | None):
 
     Variables: g_1..g_n, margin m, spread-min, spread-max. When ratio is given,
     max(g, 1) <= ratio * min(g, 1) keeps the solution rescalable onto the
-    device conductance box. Returns (margin, conductances) or (None, None).
+    device conductance box. Returns (margin, conductances); raises
+    SolverError when HiGHS reports failure.
     """
     from scipy.optimize import linprog  # on first use: most of `import mtlg` time
     n = tt.n
@@ -109,7 +114,7 @@ def _margin_lp(tt: TruthTable, ratio: float | None):
     bounds = [(1e-12, None)] * n + [(None, None), (1e-12, 1.0), (1.0, None)]
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
-        return None, None
+        raise SolverError(f"margin LP failed: HiGHS status {res.status}: {res.message}")
     return float(res.x[i_m]), tuple(float(v) for v in res.x[:n])
 
 
@@ -127,7 +132,7 @@ def check_separability(tt: TruthTable):
     if w is not None:
         return False, w
     margin, g = _margin_lp(tt, ratio=None)
-    if margin is None or margin <= _STRICT_EPS:
+    if margin <= _STRICT_EPS:
         return False, None
     return True, (*g, 1.0)
 
@@ -147,13 +152,13 @@ def synthesize(spec: SynthesisSpec) -> SynthesisResult:
     required = max(spec.min_margin_rel, _STRICT_EPS)
     # the ratio-bounded LP restricts the unbounded one, so a bounded margin at
     # the requirement and above _STRICT_EPS already proves separability
-    if margin is None or margin < required or margin <= _STRICT_EPS:
+    if margin < required or margin <= _STRICT_EPS:
         feasible, witness = check_separability(tt)
         if not feasible:
             return SynthesisResult(feasible=False, infeasibility_witness=witness)
-    if margin is None or margin < required:
+    if margin < required:
         raise DeviceRangeError(
-            f"achievable margin {0.0 if margin is None else margin:.4g} below "
+            f"achievable margin {margin:.4g} below "
             f"required {spec.min_margin_rel:.4g} within conductance ratio {ratio:.4g}"
         )
 

@@ -1,5 +1,9 @@
+import argparse
 import hashlib
+import itertools
 import os
+import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -292,7 +296,8 @@ class TestWave:
         build_parser()
         calls = []
         real = cli.cmd_wave
-        monkeypatch.setattr(cli, "cmd_wave", lambda args: calls.append(args) or real(args))
+        monkeypatch.setattr(cli, "cmd_wave",
+                            lambda args, cfg: calls.append(args) or real(args, cfg))
         code, out, _ = run(capsys, "wave", "--weights", "60k,30k;40k", "--inputs", "01")
         assert code == 0 and out.startswith("t_s,") and len(calls) == 1
 
@@ -601,7 +606,6 @@ class TestBadInput:
                                "outputs[0]: output must be '<gate>.<CA|CO>', got 'g.XX'"),
         "input_not_binary": (None, ("eval", "--weights", "10k,10k,10k;20k", "--input", "012"),
                              "input must be a 0/1 string, got '012'"),
-        "no_gate": (None, ("eval", "--input", "1"), "need --weights or --gate-file"),
         "named_target_without_n": (None, ("synth", "--target", "AND"),
                                    "named targets need --n"),
         "maj_rank_4_of_3": (None, ("synth", "--target", "MAJ:4", "--n", "3"),
@@ -791,12 +795,154 @@ class TestArgparseExits:
     @pytest.mark.parametrize("argv, code", [
         (["--help"], 0), (["eval", "--help"], 0),
         ([], 2), (["bogus"], 2), (["eval", "--weights", "10k;20k"], 2),
+        (["eval", "--input", "1"], 2),
         (["program", "--target", "33k", "--max-pulses", "many"], 2),
     ])
     def test_main_returns_argparse_exit_code(self, capsys, argv, code):
         assert main(argv) == code
         out, err = capsys.readouterr()
         assert out.startswith("usage: mtlg") if code == 0 else err.startswith("usage: mtlg")
+
+
+class TestOneReadingPerInput:
+    """Command lines of which only a part was read: the input that lost an
+    unwritten precedence, or that its command never looked at, was dropped
+    and the command exited 0. Each is refused with exit 2 now."""
+
+    GATE = "input_memristances_ohm: [60500, 60000]\nthreshold_memristances_ohm: [33000]\n"
+    CASES = {
+        "gate_file_and_weights": (("eval", "--gate-file", "{gate}", "--weights", "garbage",
+                                   "--input", "11"),
+                                  "usage: mtlg eval", "not allowed with argument"),
+        "netlist_weights_and_gate_file": (("truth", "--netlist", "{net}", "--weights",
+                                           "garbage", "--gate-file", "{missing}"),
+                                          "usage: mtlg truth", "not allowed with argument"),
+        "netlist_and_gate_file": (("truth", "--netlist", "{net}", "--gate-file", "{gate}"),
+                                  "usage: mtlg truth", "not allowed with argument"),
+        "program_tie_rule": (("program", "--target", "33k", "--tie-rule", "bogus"),
+                             "usage: mtlg", "unrecognized arguments: --tie-rule bogus"),
+        "quantized_without_out": (("synth", "--target", "AND", "--n", "2", "--quantized"),
+                                  "error: --quantized needs --out", ""),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exit_2(self, capsys, tmp_path, name):
+        argv, err_start, err_part = self.CASES[name]
+        (tmp_path / "gate.yaml").write_text(self.GATE)
+        (tmp_path / "net.yaml").write_text(XOR_NETLIST)
+        paths = {"gate": tmp_path / "gate.yaml", "net": tmp_path / "net.yaml",
+                 "missing": tmp_path / "missing.yaml"}
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith(err_start) and err_part in err
+
+    def test_program_takes_no_tie_rule(self, capsys):
+        assert main(["program", "--help"]) == 0
+        assert "--tie-rule" not in capsys.readouterr().out
+
+
+def _subparsers():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _exclusive_with(sp, option):
+    """The options that `option` may not share a command line with, itself too."""
+    for group in sp._mutually_exclusive_groups:
+        names = {a.option_strings[0] for a in group._group_actions}
+        if option in names:
+            return names
+    return set()
+
+
+VALID = {
+    "eval": {"--weights": "60.5k,60k;33k", "--input": "11"},
+    "truth": {"--weights": "60.5k,60k;33k"},
+    "boundary": {"--weights": "60.5k,60k;33k", "--res": "3"},
+    "wave": {"--weights": "60.5k,60k;33k", "--inputs": "01"},
+    "synth": {"--target": "AND", "--n": "2"},
+    "program": {"--target": "33k"},
+}
+
+
+class TestEveryOptionIsRead:
+    """An invalid value for any option that takes one, on an otherwise valid
+    command line, ends in exit 2 or 3. An option that nothing reads, or whose
+    value is dropped when empty, would exit 0."""
+
+    OPTIONS = [(name, a.option_strings[0]) for name, sp in _subparsers().items()
+               for a in sp._actions if a.option_strings and a.nargs != 0]
+
+    def test_every_command_has_a_valid_line(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert set(VALID) == set(_subparsers())
+        for command, options in VALID.items():
+            assert main([command, *itertools.chain(*options.items())]) == 0, command
+
+    @pytest.mark.parametrize("value", ["", "{tmp}/missing/x"])
+    @pytest.mark.parametrize("command, option", OPTIONS)
+    def test_invalid_value_refused(self, capsys, tmp_path, command, option, value):
+        rivals = _exclusive_with(_subparsers()[command], option)
+        options = {k: v for k, v in VALID[command].items() if k not in rivals}
+        options[option] = value.format(tmp=tmp_path)
+        code = main([command, *itertools.chain(*options.items())])
+        assert code in (2, 3), (command, option, value)
+        assert "error: " in capsys.readouterr().err
+
+
+class TestProjectConfigLoadedOnce:
+    @pytest.mark.parametrize("command", sorted(VALID))
+    def test_one_load_per_main_call(self, capsys, tmp_path, monkeypatch, command):
+        cfg = tmp_path / "project.yaml"
+        cfg.write_text("tie_rule: threshold_wins\n")
+        calls = []
+        real = files.load_project_config
+        monkeypatch.setattr(files, "load_project_config",
+                            lambda path: calls.append(path) or real(path))
+        argv = [command, *itertools.chain(*VALID[command].items())]
+        assert main(argv) == 0 and calls == []
+        for n in (1, 2):
+            assert main([*argv, "--config", str(cfg)]) == 0
+            assert calls == [str(cfg)] * n
+
+
+def _readme_examples():
+    """(argv, expected exit, documented stdout lines) for every `mtlg` line of
+    README's "Command line" block. A trailing `# exit N` names the exit code;
+    comment lines right below a command are its output."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("mtlg "):
+            code = re.search(r"# exit (\d)", line)
+            doc = itertools.takewhile(lambda x: x.startswith("# "), lines[i + 1:])
+            examples.append((shlex.split(line, comments=True)[1:],
+                             int(code.group(1)) if code else 0, [d[2:] for d in doc]))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+class TestReadmeExamples:
+
+    def test_block_found(self):
+        assert len(README_EXAMPLES) >= 8
+        assert (["eval", "--weights", "60.5k,60k;33k", "--input", "11"], 0,
+                ["CA=1 CO=0 Iin=2.1577e-05 Ith=1.9697e-05"]) in README_EXAMPLES
+        assert sum(code == 3 for _, code, _ in README_EXAMPLES) == 1
+
+    @pytest.mark.parametrize("argv, code, doc", README_EXAMPLES,
+                             ids=[" ".join(argv) for argv, _, _ in README_EXAMPLES])
+    def test_runs_as_documented(self, capsys, tmp_path, monkeypatch, argv, code, doc):
+        monkeypatch.chdir(tmp_path)
+        got, out, err = run(capsys, *argv)
+        assert got == code, err
+        if doc:
+            assert out.splitlines() == doc
 
 
 class TestScipyLoadedOnFirstSynthesis:

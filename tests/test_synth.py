@@ -13,6 +13,7 @@ from mtlg.device import DeviceModel
 from mtlg.gate import GateConfig, TieRule, TruthTable, bits_of_index, truth_table
 from mtlg.synth import (
     DeviceRangeError,
+    SolverError,
     SynthesisSpec,
     check_separability,
     named_truth_table,
@@ -195,31 +196,35 @@ class TestSingleLp:
 
 
 class TestLpFailure:
-    """What a margin LP that HiGHS reports as failed leads to. The margin is a
-    free variable, so the LP always has a solution, and only a solver failure
-    ends here; the table is then reported as not realizable, without witness."""
+    """A margin LP that HiGHS reports as failed. The margin is a free variable,
+    so the LP always has a solution, and only a solver failure ends here: it
+    raises SolverError with HiGHS's status and message, and is never read as
+    an unrealizable target."""
+
+    MESSAGE = "margin LP failed: HiGHS status 4: numerical difficulties"
 
     @pytest.fixture(autouse=True)
     def failing_linprog(self, monkeypatch):
-        monkeypatch.setattr("scipy.optimize.linprog",
-                            lambda *args, **kwargs: SimpleNamespace(success=False))
+        monkeypatch.setattr("scipy.optimize.linprog", lambda *args, **kwargs: SimpleNamespace(
+            success=False, status=4, message="numerical difficulties"))
 
-    def test_check_separability_reports_no_witness(self):
-        assert check_separability(AND2) == (False, None)
+    def test_check_separability_raises(self):
+        with pytest.raises(SolverError, match=f"^{self.MESSAGE}$"):
+            check_separability(AND2)
 
-    def test_synthesize_reports_infeasible(self):
-        res = synthesize(SynthesisSpec(AND2))
-        assert not res.feasible and res.infeasibility_witness is None
+    def test_synthesize_raises(self):
+        with pytest.raises(SolverError, match=f"^{self.MESSAGE}$"):
+            synthesize(SynthesisSpec(AND2))
 
     def test_witness_targets_never_reach_the_lp(self):
         res = synthesize(SynthesisSpec(XOR2))
         assert not res.feasible and res.infeasibility_witness is not None
 
-    def test_cli_exit_3_without_witness(self, capsys):
+    def test_cli_exit_3_with_solver_message(self, capsys):
         code = cli.main(["synth", "--target", "AND", "--n", "2"])
         out = capsys.readouterr()
         assert code == 3 and out.out == ""
-        assert out.err == "error: target is not realizable with positive weights;\n"
+        assert out.err == f"error: {self.MESSAGE}\n"
 
 
 def _report_fields(report):
