@@ -138,6 +138,8 @@ def cmd_wave(args, cfg: files.ProjectConfig) -> int:
 def cmd_synth(args, cfg: files.ProjectConfig) -> int:
     if args.quantized and args.out is None:
         raise files.ParseError("--quantized needs --out")
+    if args.out == "-":  # stdout carries the report
+        raise files.ParseError("synth --out needs a file path; the report is printed on stdout")
     tie = _tie_rule(args, cfg)
     tap = "CA"
     target = args.target.strip()

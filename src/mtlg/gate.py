@@ -122,7 +122,8 @@ class TruthTable:
             raise ValueError(f"expected {2 ** self.n} outputs, got shape {out.shape}")
         if not ((out == 0) | (out == 1)).all():
             raise ValueError("outputs must be 0/1")
-        object.__setattr__(self, "outputs", tuple(out.astype(np.int8).tobytes()))
+        object.__setattr__(self, "_bytes", out.astype(np.int8).tobytes())  # int8, not a field
+        object.__setattr__(self, "outputs", tuple(self._bytes))
 
     @staticmethod
     def from_bitstring(s: str, n: int | None = None) -> "TruthTable":
@@ -138,7 +139,7 @@ class TruthTable:
         return "".join(str(b) for b in reversed(self.outputs))
 
     def complement(self) -> "TruthTable":
-        return TruthTable(self.n, 1 - np.array(self.outputs, dtype=np.int8))
+        return TruthTable(self.n, 1 - np.frombuffer(self._bytes, dtype=np.int8))
 
 
 def bits_of_index(k: int, n: int) -> tuple[int, ...]:
@@ -244,7 +245,12 @@ def _decide_grid(config: GateConfig, axis: np.ndarray) -> np.ndarray:
     g, g_t = _conductances(config)
     s = np.zeros(1)
     for gi in g:
-        s = (s[:, None] + gi * axis).ravel()
+        if len(s) < 64 * len(axis) ** 2:  # s short next to the axis, as in every grid
+            s = (s[:, None] + gi * axis).ravel()  # the axis is the inner loop
+        else:  # a truth table's later levels: a column per axis value, a pass over s each
+            out = np.empty((len(s), len(axis)))  # row p: s[p] + gi * axis
+            np.add(s, gi * axis[:, None], out=out.T, order="C")
+            s = out.ravel()
     v = config.levels.v_dd
     s *= v  # in place: a second array of every point would cost time and memory
     return decide(s, v * g_t, config.tie_rule)
@@ -256,7 +262,7 @@ def truth_table(config: GateConfig) -> TruthTable:
 
 
 def classify(tt: TruthTable) -> GateClass:
-    n, outs = tt.n, np.frombuffer(bytes(tt.outputs), dtype=np.int8)  # 0/1 fit bytes
+    n, outs = tt.n, np.frombuffer(tt._bytes, dtype=np.int8)
     if not outs.any():
         return GateClass(GateKind.CONSTANT_ZERO)
     if outs.all():

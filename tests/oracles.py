@@ -4,6 +4,11 @@ The exact-rational ones check the float evaluation path. They deliberately
 avoid the package's gate internals: everything is recomputed from first
 principles with Fractions.
 
+``reference_decide_points`` checks the corner and grid sums of
+``mtlg.gate.truth_table`` and ``mtlg.gate.boundary_grid``: it adds each point's
+terms in a plain Python loop, in slot order, and leaves only the comparison to
+``mtlg.gate.decide``.
+
 ``reference_simulate`` checks the array sampler in ``mtlg.transient``. It takes
 the per-cycle decisions from the package and fills every sample in a plain
 loop, one sample at a time.
@@ -42,6 +47,8 @@ from mtlg.gate import (
     VoltageLevels,
     bits_of_index,
     branch_currents,
+    decide,
+    decision_hyperplane,
     evaluate,
 )
 from mtlg.synth import VerifyReport
@@ -90,6 +97,20 @@ def exact_truth_table(input_ms, th_ms, input_wins=True):
         bits = [(k >> (n - 1 - i)) & 1 for i in range(n)]
         outs.append(exact_ca(input_ms, th_ms, bits, input_wins))
     return tuple(outs)
+
+
+def reference_decide_points(config: GateConfig, points) -> list[int]:
+    """CA at each point (a_1..a_n): g_i * a_i summed in floats in slot order,
+    the sums scaled by v_dd and compared by gate.decide."""
+    g, g_t = decision_hyperplane(config)
+    sums = []
+    for a in points:
+        s = 0.0
+        for gi, ai in zip(g, a):
+            s += gi * float(ai)
+        sums.append(s)
+    v = config.levels.v_dd
+    return decide(v * np.array(sums), v * g_t, config.tie_rule).tolist()
 
 
 def reference_inverter(v_in: float, levels: VoltageLevels) -> float:

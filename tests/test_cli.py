@@ -336,6 +336,16 @@ class TestSynth:
                            "--out", str(gate_file), "--quantized")
         assert code == 0 and "(verified)" in out
 
+    @pytest.mark.parametrize("extra", [(), ("--quantized",)])
+    def test_out_dash_refused_before_synthesis(self, capsys, tmp_path, monkeypatch, extra):
+        # the report already goes to stdout; "-" once became a file of that name
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "synth", "--target", "AND", "--n", "2",
+                             "--out", "-", *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "file path" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestGoldenSynth:
     """Exit code and SHA-256 of the stdout and stderr of fixed synth runs,

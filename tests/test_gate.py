@@ -1,4 +1,7 @@
+import dataclasses
 import hashlib
+import itertools
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -25,7 +28,8 @@ from mtlg.gate import (
     input_columns,
     truth_table,
 )
-from oracles import exact_branch_currents, exact_ca, exact_truth_table
+from oracles import (exact_branch_currents, exact_ca, exact_truth_table,
+                     reference_decide_points)
 
 AND_HW = GateConfig((60.5e3, 60e3), (33e3,))
 OR_HW = GateConfig((33.8e3, 18.3e3), (41.6e3,))
@@ -147,9 +151,13 @@ class TestTruthTable:
         for outs in (bits, np.array(bits, dtype=bool), np.array(bits, dtype=np.int8),
                      np.array(bits, dtype=np.int64), np.array(bits, dtype=float)):
             tt = TruthTable(3, outs)
-            assert tt == want and hash(tt) == hash(want)
+            assert tt == want and hash(tt) == hash(want) == hash((3, tuple(bits)))
             assert all(type(o) is int for o in tt.outputs)
         assert repr(want) == "TruthTable(n=3, outputs=(0, 1, 1, 0, 1, 0, 0, 1))"
+        # the int8 bytes a table keeps are no field: only n and outputs show
+        assert [f.name for f in dataclasses.fields(want)] == ["n", "outputs"]
+        assert dataclasses.asdict(want) == {"n": 3, "outputs": tuple(bits)}
+        assert want != TruthTable(3, bits[::-1])
 
     def test_producers_store_python_ints(self):
         tts = [truth_table(OR3_HW), truth_table(OR3_HW).complement(),
@@ -266,6 +274,82 @@ class TestClassify:
                 h.update(f"{c.kind.value},{c.k},{c.index};".encode())
         assert h.hexdigest() == (
             "cff9fceb0479e3853a9e6040c685f7769bb0953ee69bcb71aa6be412be1cf537")
+
+
+def _wide_gates(seed):
+    """Gates of fan-in 12-16 drawn as the gate_tables benchmark draws them:
+    integer weights 1..3 on 100800 ohm with a threshold that some rows tie
+    exactly, and log-uniform 10k-100k ohm inputs with a threshold at a third
+    of their summed conductance, each under both tie rules."""
+    rng = random.Random(seed)
+    for n in range(12, 17):
+        w = [rng.randint(1, 3) for _ in range(n)]
+        t = max(1, round(sum(w) / 3))
+        parts = -(-t // 9)  # at most weight 9 on one threshold memristor
+        integer = ([100800 // x for x in w],
+                   [100800 // (t // parts + (i < t % parts)) for i in range(parts)])
+        r_in = [10e3 * 10 ** rng.random() for _ in range(n)]
+        g_t = sum(1.0 / r for r in r_in) / 3
+        k = rng.randint(1, 2)  # threshold memristors of the float gate
+        for r_in, r_th in (integer, (r_in, [k / g_t] * k)):
+            for rule in TieRule:
+                yield GateConfig(r_in, r_th, tie_rule=rule)
+
+
+class TestGoldenGateTables:
+    # digests recorded before the corner sums were filled column by column and
+    # before TruthTable kept its int8 bytes: the benchmark's path must not move
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "b46ed4b5bfa127442f08dcb36c3d622565d03d1acbe98dc27b3e3a34a8280580"),
+        (2, "5110ab5fd0184f0d94d50b2f744e56d11742d7c97981e9d712939df9f03e57ed"),
+    ])
+    def test_tables_classes_and_hyperplanes(self, seed, digest):
+        h = hashlib.sha256()
+        for cfg in _wide_gates(seed):
+            tt = truth_table(cfg)
+            for t in (tt, tt.complement()):
+                h.update(bytes(t.outputs) + f"{classify(t).label()};".encode())
+            h.update(f"{decision_hyperplane(cfg)!r};".encode())
+        assert h.hexdigest() == digest
+
+
+# exact ties: at n = 2 the rows (0, 1) and (1, 0) draw the threshold current,
+# at n = 3 every row with two inputs on, and so do grid points between them
+TIE_GATES = [GateConfig(r_in, r_th, tie_rule=rule) for rule in TieRule
+             for r_in, r_th in (((3e6, 3e6), (3e6,)), ((2e6, 2e6, 2e6), (1e6,)))]
+
+
+class TestKernelReference:
+    @staticmethod
+    def _gates(n, count):
+        rng = random.Random(n)
+        for rule in TieRule:
+            for _ in range(count):
+                r_in = [10e3 * 10 ** rng.random() for _ in range(n)]
+                g_t = sum(1.0 / r for r in r_in) * rng.uniform(0.1, 0.9)
+                yield GateConfig(r_in, (1.0 / g_t,), tie_rule=rule)
+
+    @pytest.mark.parametrize("res", range(2, 8))
+    def test_grid_sums_points_in_slot_order(self, res):
+        cfgs = TIE_GATES + [c for n in (2, 3) for c in self._gates(n, 4)]
+        for cfg in cfgs:
+            axis = np.linspace(0.0, 1.0, res)
+            want = reference_decide_points(cfg, itertools.product(axis, repeat=cfg.n))
+            assert boundary_grid(cfg, res).grid.ravel().tolist() == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11, 14, 16])
+    def test_table_sums_corners_in_slot_order(self, n):
+        cfgs = [c for c in TIE_GATES if c.n == n] + list(self._gates(n, 1))
+        if n == 16:  # integer weights that tie exactly, as the benchmark draws them
+            cfgs += [c for c in _wide_gates(3) if c.n == 16]
+        for cfg in cfgs:
+            want = reference_decide_points(cfg, itertools.product((0.0, 1.0), repeat=n))
+            assert list(truth_table(cfg).outputs) == want
+
+    def test_tie_gates_reach_the_tie_band(self):
+        for iw, tw in zip(TIE_GATES[:2], TIE_GATES[2:]):
+            assert truth_table(iw) != truth_table(tw)
+            assert (boundary_grid(iw, 5).grid != boundary_grid(tw, 5).grid).any()
 
 
 class TestDecide:
