@@ -8,9 +8,11 @@ All memristances are in ohms, voltages in volts, currents in amperes.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,6 +21,10 @@ TIE_EPS_REL = 1e-9
 
 MAX_FAN_IN = 16
 MAX_GRID_POINTS = 10**7  # largest boundary grid, as many as the longest trace
+
+# classify packs 64 rows to a word: the row distances 2^j in a word, the rows r with bit j clear
+_SHIFTS = 2 ** np.arange(6, dtype=np.uint64)
+_MASKS = np.array([sum(1 << r for r in range(64) if not r >> j & 1) for j in range(6)], np.uint64)
 
 
 class TieRule(Enum):
@@ -115,6 +121,8 @@ class TruthTable:
     outputs: tuple[int, ...]
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 0:
+            raise ValueError(f"n must be a count of inputs, got {self.n!r}")
         out = np.asarray(self.outputs)  # any sequence or array of 0/1 numbers
         if out.dtype.kind in "SU":  # np.asarray reads "0110" as one string
             raise ValueError("outputs must be 0/1 numbers, not text (see from_bitstring)")
@@ -124,6 +132,11 @@ class TruthTable:
             raise ValueError("outputs must be 0/1")
         object.__setattr__(self, "_bytes", out.astype(np.int8).tobytes())  # int8, not a field
         object.__setattr__(self, "outputs", tuple(self._bytes))
+
+    @property
+    def array(self) -> np.ndarray:
+        """The outputs as a read-only int8 array over the table's own bytes."""
+        return np.frombuffer(self._bytes, dtype=np.int8)
 
     @staticmethod
     def from_bitstring(s: str, n: int | None = None) -> "TruthTable":
@@ -139,7 +152,7 @@ class TruthTable:
         return "".join(str(b) for b in reversed(self.outputs))
 
     def complement(self) -> "TruthTable":
-        return TruthTable(self.n, 1 - np.frombuffer(self._bytes, dtype=np.int8))
+        return TruthTable(self.n, 1 - self.array)
 
 
 def bits_of_index(k: int, n: int) -> tuple[int, ...]:
@@ -262,37 +275,41 @@ def truth_table(config: GateConfig) -> TruthTable:
 
 
 def classify(tt: TruthTable) -> GateClass:
-    n, outs = tt.n, np.frombuffer(tt._bytes, dtype=np.int8)
-    if not outs.any():
+    n, outs = tt.n, tt.array
+    ones = np.count_nonzero(outs)
+    if ones == 0:
         return GateClass(GateKind.CONSTANT_ZERO)
-    if outs.all():
+    if ones == len(outs):
         return GateClass(GateKind.CONSTANT_ONE)
 
-    # (output with x_i = 0, output with x_i = 1) over the other inputs
-    cube = outs.reshape((2,) * n)
-    halves = [(np.take(cube, 0, axis=i), np.take(cube, 1, axis=i)) for i in range(n)]
+    if 2 * ones == len(outs):  # a dictator copies one input: half the rows are on
+        for i in range(n):
+            halves = outs.reshape(2 ** i, 2, -1)  # output with x_i = 0, with x_i = 1
+            if not halves[:, 0].any() and halves[:, 1].all():
+                return GateClass(GateKind.DICTATOR, index=i)
 
-    # dictator: output copies one input
-    for i, (lo, hi) in enumerate(halves):
-        if not lo.any() and hi.all():
-            return GateClass(GateKind.DICTATOR, index=i)
-
-    # MAJ-k is [popcount >= k], k the least popcount of a 1-row
-    popcount = np.bitwise_count(np.arange(2 ** n))
-    k = int(popcount[outs == 1].min())
-    if (outs == (popcount >= k)).all():
+    # MAJ-k is [popcount >= k]: its 1-rows number sum(C(n, j) for j >= k),
+    # which falls strictly with k, so the count names the only k to try
+    tails = list(accumulate(math.comb(n, j) for j in range(n, 0, -1)))  # k = n..1
+    k = len(tails) - tails.index(ones) if ones in tails else 0
+    if k and (outs == (np.bitwise_count(np.arange(2 ** n)) >= k)).all():
         if n >= 2 and k in (1, n):
             return GateClass(GateKind.AND if k == n else GateKind.OR, k=k)
         return GateClass(GateKind.MAJORITY, k=k)
-    if n >= 2 and not outs[-1] and outs[:-1].all():  # only the all-ones row is 0
+    if n >= 2 and ones == len(outs) - 1 and not outs[-1]:  # only the all-ones row is 0
         return GateClass(GateKind.NAND, k=n)
-    if n >= 2 and outs[0] and not outs[1:].any():  # only the all-zeros row is 1
+    if n >= 2 and ones == 1 and outs[0]:  # only the all-zeros row is 1
         return GateClass(GateKind.NOR, k=1)
 
-    # flipping any input 0 -> 1 must never turn the output off
-    if all((lo <= hi).all() for lo, hi in halves):
-        return GateClass(GateKind.OTHER_THRESHOLD)
-    return GateClass(GateKind.NON_MONOTONE)
+    # flipping any input 0 -> 1 must never turn the output off. Row r is bit r % 64 of
+    # word r // 64: its partner r + b is b bits up for b < 64, else the same bit of
+    # word (r // 64) | (b // 64), which is the word itself when r has bit b set
+    w = np.frombuffer(np.packbits(outs, bitorder="little").tobytes().ljust(8, b"\0"), "<u8")
+    off, up = ~w, np.arange(len(w))[:, None] | 2 ** np.arange(max(n - 6, 0))
+    if (np.count_nonzero(w[:, None] & (off[:, None] >> _SHIFTS[:n]) & _MASKS[:n])
+            or np.count_nonzero(w[:, None] & off[up])):
+        return GateClass(GateKind.NON_MONOTONE)
+    return GateClass(GateKind.OTHER_THRESHOLD)
 
 
 @dataclass(frozen=True)

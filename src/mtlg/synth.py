@@ -71,7 +71,7 @@ def _witness(tt: TruthTable):
     """Inputs that no positive-weight gate can realize: the zero vector when
     f(0...0) = 1, else the first pair (x, y) with x <= y bitwise, f(x) = 1 and
     f(y) = 0 (y ascending, then the cleared bit from the LSB), else None."""
-    n, outs = tt.n, np.frombuffer(tt._bytes, dtype=np.int8)
+    n, outs = tt.n, tt.array
     if outs[0] == 1:
         return (bits_of_index(0, n),)
     low = np.arange(2 ** n)[:, None] & ~(1 << np.arange(n))  # y with bit i cleared
@@ -96,7 +96,7 @@ def _margin_lp(tt: TruthTable, ratio: float | None):
     i_m, i_mn, i_mx = n, n + 1, n + 2
     # one row per table row: sum(g) >= 1 + m for a 1 (-sum(g) + m <= -1),
     # sum(g) <= 1 - m for a 0 (sum(g) + m <= 1)
-    sign = np.where(np.frombuffer(tt._bytes, dtype=np.int8) == 1, -1.0, 1.0)
+    sign = np.where(tt.array == 1, -1.0, 1.0)
     a_ub = np.zeros((rows + 2 * n + (ratio is not None), n + 3))
     a_ub[:rows, :n] = sign[:, None] * np.transpose(input_columns(n))
     a_ub[:rows, i_m] = 1.0

@@ -9,6 +9,10 @@ principles with Fractions.
 terms in a plain Python loop, in slot order, and leaves only the comparison to
 ``mtlg.gate.decide``.
 
+``reference_classify`` checks ``mtlg.gate.classify``: it is the classifier
+that copies both halves of the table for every input and compares them, and
+finds MAJ-k from the least popcount among the 1-rows.
+
 ``reference_simulate`` checks the array sampler in ``mtlg.transient``. It takes
 the per-cycle decisions from the package and fills every sample in a plain
 loop, one sample at a time.
@@ -41,7 +45,9 @@ from mtlg.device import (
     read_current,
 )
 from mtlg.gate import (
+    GateClass,
     GateConfig,
+    GateKind,
     TieRule,
     TruthTable,
     VoltageLevels,
@@ -55,6 +61,40 @@ from mtlg.synth import VerifyReport
 from mtlg.transient import ClockSpec, TransientParams, WaveformTrace, settle_time
 
 TIE_EPS = Fraction(1, 10 ** 9)
+
+
+def reference_classify(tt: TruthTable) -> GateClass:
+    n, outs = tt.n, np.array(tt.outputs, dtype=np.int8)
+    if not outs.any():
+        return GateClass(GateKind.CONSTANT_ZERO)
+    if outs.all():
+        return GateClass(GateKind.CONSTANT_ONE)
+
+    # (output with x_i = 0, output with x_i = 1) over the other inputs
+    cube = outs.reshape((2,) * n)
+    halves = [(np.take(cube, 0, axis=i), np.take(cube, 1, axis=i)) for i in range(n)]
+
+    # dictator: output copies one input
+    for i, (lo, hi) in enumerate(halves):
+        if not lo.any() and hi.all():
+            return GateClass(GateKind.DICTATOR, index=i)
+
+    # MAJ-k is [popcount >= k], k the least popcount of a 1-row
+    popcount = np.bitwise_count(np.arange(2 ** n))
+    k = int(popcount[outs == 1].min())
+    if (outs == (popcount >= k)).all():
+        if n >= 2 and k in (1, n):
+            return GateClass(GateKind.AND if k == n else GateKind.OR, k=k)
+        return GateClass(GateKind.MAJORITY, k=k)
+    if n >= 2 and not outs[-1] and outs[:-1].all():  # only the all-ones row is 0
+        return GateClass(GateKind.NAND, k=n)
+    if n >= 2 and outs[0] and not outs[1:].any():  # only the all-zeros row is 1
+        return GateClass(GateKind.NOR, k=1)
+
+    # flipping any input 0 -> 1 must never turn the output off
+    if all((lo <= hi).all() for lo, hi in halves):
+        return GateClass(GateKind.OTHER_THRESHOLD)
+    return GateClass(GateKind.NON_MONOTONE)
 
 
 def reference_rows(cols) -> str:

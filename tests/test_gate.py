@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
+import pickle
 import random
 import sys
 import tracemalloc
@@ -29,7 +31,7 @@ from mtlg.gate import (
     truth_table,
 )
 from oracles import (exact_branch_currents, exact_ca, exact_truth_table,
-                     reference_decide_points)
+                     reference_classify, reference_decide_points)
 
 AND_HW = GateConfig((60.5e3, 60e3), (33e3,))
 OR_HW = GateConfig((33.8e3, 18.3e3), (41.6e3,))
@@ -139,6 +141,20 @@ class TestTruthTable:
         for outs in ([bad] * 4, bad):
             with pytest.raises(ValueError):
                 TruthTable(2, outs)
+
+    @pytest.mark.parametrize("n, outs", [(2.0, (0, 1, 1, 1)), (-1, (0,)), (True, (0, 1)),
+                                         (False, (1,)), ("2", (0, 1, 1, 1)), (None, (0,))])
+    def test_n_must_be_a_count(self, n, outs):
+        with pytest.raises(ValueError, match="n must be a count of inputs"):
+            TruthTable(n, outs)
+
+    @pytest.mark.parametrize("n", [np.int64(2), np.int32(3), np.uint8(5)])
+    def test_numpy_integer_n_is_a_count(self, n):
+        outs = (np.bitwise_count(np.arange(2 ** int(n))) >= 2).astype(int)  # MAJ-2
+        tt = TruthTable(n, outs)
+        assert tt == TruthTable(int(n), outs)
+        assert repr(classify(tt)) == repr(reference_classify(tt)) == repr(
+            classify(TruthTable(int(n), outs)))
 
     @pytest.mark.parametrize("text", ["0110", b"0110", ["0", "1", "1", "0"]])
     def test_text_rejected_with_its_own_message(self, text):
@@ -276,13 +292,13 @@ class TestClassify:
             "cff9fceb0479e3853a9e6040c685f7769bb0953ee69bcb71aa6be412be1cf537")
 
 
-def _wide_gates(seed):
-    """Gates of fan-in 12-16 drawn as the gate_tables benchmark draws them:
+def _wide_gates(seed, fan_ins=range(12, 17)):
+    """Gates of fan-in 12-16 (or fan_ins) drawn as the gate_tables benchmark draws them:
     integer weights 1..3 on 100800 ohm with a threshold that some rows tie
     exactly, and log-uniform 10k-100k ohm inputs with a threshold at a third
     of their summed conductance, each under both tie rules."""
     rng = random.Random(seed)
-    for n in range(12, 17):
+    for n in fan_ins:
         w = [rng.randint(1, 3) for _ in range(n)]
         t = max(1, round(sum(w) / 3))
         parts = -(-t // 9)  # at most weight 9 on one threshold memristor
@@ -311,6 +327,137 @@ class TestGoldenGateTables:
                 h.update(bytes(t.outputs) + f"{classify(t).label()};".encode())
             h.update(f"{decision_hyperplane(cfg)!r};".encode())
         assert h.hexdigest() == digest
+
+
+def _threshold_table(n, rng):
+    """[sum(w x) >= t] for random weights 1..3 and a random reachable t."""
+    w = [rng.randint(1, 3) for _ in range(n)]
+    weight = sum(wi * col.astype(int) for wi, col in zip(w, input_columns(n)))
+    return (weight >= rng.randint(1, sum(w))).astype(np.int8)
+
+
+def _assert_classified_as_reference(tables, n):
+    for outs in tables:
+        tt = TruthTable(n, outs)  # repr, so that a NumPy integer in k or index shows
+        assert repr(classify(tt)) == repr(reference_classify(tt)), np.flatnonzero(outs)[:8]
+
+
+class TestClassifyReference:
+    """classify against the halves-copying classifier of tests/oracles.py."""
+
+    @pytest.mark.parametrize("n", range(5, 17))
+    def test_benchmark_style_gates(self, n):
+        for cfg in _wide_gates(100 + n, fan_ins=(n,)):
+            tt = truth_table(cfg)
+            for t in (tt, tt.complement()):
+                assert repr(classify(t)) == repr(reference_classify(t))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_named_tables_and_their_complements(self, n):
+        popcount = np.bitwise_count(np.arange(2 ** n))
+        maj = [popcount >= k for k in range(1, n + 1)]
+        tables = maj + input_columns(n) + [popcount < n, popcount == 0]  # then NAND, NOR
+        _assert_classified_as_reference(tables + [1 - t for t in tables], n)
+        kinds = {reference_classify(TruthTable(n, t)).kind for t in tables}
+        assert GateKind.DICTATOR in kinds
+        assert n < 2 or {GateKind.AND, GateKind.OR, GateKind.NAND, GateKind.NOR} <= kinds
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_one_flipped_row_at_every_partner_distance(self, n):
+        rng = random.Random(n)
+        rows = np.arange(2 ** n)
+        bases = [_threshold_table(n, rng) for _ in range(3)]
+        for b in (2 ** j for j in range(n)):
+            low = rows[(rows & b) == 0]  # rows r whose partner across distance b is r + b
+            # the only violation is (0, b): the other inputs' OR with row 0 on, or
+            # (ones - b, ones): the other inputs' AND with the all-ones row off
+            only_up = ((rows & ~b) != 0).astype(np.int8)
+            only_up[0] = 1
+            only_down = ((rows | b) == rows[-1]).astype(np.int8)
+            only_down[-1] = 0
+            flipped = [only_up, only_down]
+            for base in bases:  # one pair (r, r + b) of equal outputs made (1, 0)
+                same = low[base[low] == base[low + b]]
+                if len(same):
+                    r = rng.choice(same.tolist())
+                    t = base.copy()
+                    t[r if t[r] == 0 else r + b] ^= 1
+                    flipped.append(t)
+            for t in flipped:
+                assert reference_classify(TruthTable(n, t)).kind is GateKind.NON_MONOTONE
+            _assert_classified_as_reference(flipped, n)
+        _assert_classified_as_reference(bases, n)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_maj_counts_and_half_on_tables_of_other_classes(self, n):
+        rng = random.Random(1000 + n)
+        popcount = np.bitwise_count(np.arange(2 ** n))
+
+        def swap_one(t, on, off):  # one row in `on` turned off, one in `off` turned on
+            t = t.copy()
+            t[[rng.choice(on.tolist()), rng.choice(off.tolist())]] ^= 1
+            return t
+
+        maj = [(popcount >= k).astype(np.int8) for k in range(1, n + 1)]
+        # as many 1-rows as MAJ-k, but not MAJ-k
+        not_maj = [swap_one(t, np.flatnonzero(popcount == k), np.flatnonzero(popcount == k - 1))
+                   for k, t in enumerate(maj, start=1)]
+        # half the rows on, but no dictator from n = 3 on
+        not_dict = [swap_one(c, np.flatnonzero(c), np.flatnonzero(1 - c)) for c in input_columns(n)]
+        shuffled = [np.array(rng.sample(t.tolist(), len(t))) for t in maj + input_columns(n)]
+        for t in not_maj:
+            assert reference_classify(TruthTable(n, t)).kind not in (
+                GateKind.MAJORITY, GateKind.AND, GateKind.OR)
+        for t in not_dict if n >= 3 else ():
+            assert reference_classify(TruthTable(n, t)).kind is not GateKind.DICTATOR
+        _assert_classified_as_reference(not_maj + not_dict + shuffled + [popcount % 2], n)
+
+
+class TestTruthTableContract:
+    # repr, hash and pickle digests recorded before classify was reworked:
+    # copies and pickles must not change
+    BITS = (0, 1, 1, 0, 1, 0, 0, 1)
+    REPR = "TruthTable(n=3, outputs=(0, 1, 1, 0, 1, 0, 0, 1))"
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: TruthTable(3, TestTruthTableContract.BITS),
+         "cdff3d8701428ae090b5f75860a12af9805287d58b6fe0cfabd9303dd781bb69"),
+        (lambda: truth_table(AND_HW),
+         "75160d42dd53b95d54d70f98dcc4bb17b9257a6c29ff499b0210515b8f98b9ad"),
+    ])
+    def test_pickles_of_every_protocol_keep_their_bytes(self, make, digest):
+        tt, h = make(), hashlib.sha256()
+        for protocol in range(6):
+            data = pickle.dumps(tt, protocol=protocol)
+            h.update(data)
+            back = pickle.loads(data)
+            assert back == tt and classify(back) == classify(tt)
+        assert h.hexdigest() == digest
+
+    def test_copies_replace_asdict_repr_eq_and_hash(self):
+        tt = TruthTable(3, self.BITS)
+        for c in (tt, copy.copy(tt), copy.deepcopy(tt), dataclasses.replace(tt),
+                  pickle.loads(pickle.dumps(TruthTable(3, self.BITS)))):
+            assert repr(c) == self.REPR
+            assert c == tt and hash(c) == -8052843231440671901
+            assert dataclasses.asdict(c) == {"n": 3, "outputs": self.BITS}
+            assert all(type(o) is int for o in c.outputs)
+            assert c.complement() == TruthTable(3, [1 - b for b in self.BITS])
+        assert repr(dataclasses.replace(tt, outputs=[1 - b for b in self.BITS])) == (
+            "TruthTable(n=3, outputs=(1, 0, 0, 1, 0, 1, 1, 0))")
+        assert tt != TruthTable(3, self.BITS[::-1]) and tt != TruthTable(2, self.BITS[:4])
+
+    def test_unknown_attributes_raise_attribute_error(self):
+        tt = TruthTable(3, self.BITS)
+        for name in ("output", "_outputs", "__setstate__"):
+            assert not hasattr(tt, name)
+            with pytest.raises(AttributeError, match=name):
+                getattr(tt, name)
+
+    def test_array_is_a_read_only_view_of_the_outputs(self):
+        for tt in (TruthTable(3, self.BITS), truth_table(OR3_HW)):
+            assert tt.array.dtype == np.int8 and not tt.array.flags.writeable
+            assert tt.array.tolist() == list(tt.outputs)
 
 
 # exact ties: at n = 2 the rows (0, 1) and (1, 0) draw the threshold current,
