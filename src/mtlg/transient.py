@@ -93,12 +93,18 @@ def simulate(
     params: TransientParams | None = None,
 ) -> WaveformTrace:
     """Run one input vector per clock cycle and sample all node voltages; the
-    number of cycles is the number of input vectors."""
+    number of cycles is the number of input vectors. Each vector's length is
+    checked in order, then every value in one pass. math.exp runs only inside
+    the ramp's window, 0 < te <= 800 tau; outside it the decay is exactly 1 or 0."""
     clock = clock or ClockSpec()
     params = params or TransientParams()
-    bits = np.array([_check_bits(config, v) for v in input_sequence], bool).T  # (n, cycles)
-    if not bits.size:
+    vectors = list(input_sequence)
+    if not vectors:
         raise ValueError("need at least one input vector")
+    for v in vectors:
+        if len(v) != config.n:
+            _check_bits(config, v)  # raises the length error for this vector
+    bits = np.array(_check_bits(config, list(zip(*vectors))), bool)  # (n, cycles)
     n_samples = bits.shape[1] * clock.period / clock.sample_dt
     if not n_samples <= MAX_SAMPLES:
         raise ValueError(f"trace of {n_samples:.4g} samples exceeds {MAX_SAMPLES}")
@@ -123,11 +129,12 @@ def simulate(
     offset = time - c * clock.period
     eq = offset < t_eq  # equalization: nodes shunted together
     resolved = np.array(cycle_flags)[c]
-    # te >= 0 keeps equalization samples from overflowing the exponential;
-    # math.exp because np.exp can round the last bit differently
+    # math.exp because np.exp can round the last bit differently; it is 0.0
+    # below about -745.2, and te = 0 at every equalization sample
     te = np.maximum(offset - t_eq, 0.0)
-    decay = np.fromiter(map(math.exp, (-te / params.tau).tolist()), float, n_samples)
-    swing = v_mid * decay
+    swing = np.where(te == 0, v_mid, 0.0)
+    inside = (te > 0) & (te <= 800 * params.tau)
+    swing[inside] = v_mid * np.fromiter(map(math.exp, (-te[inside] / params.tau).tolist()), float)
     win = lv.v_dd - swing
     ramp = ~eq & resolved
     ca_high = (out.ca == 1)[c]  # gathered as bools, not as an int8 column
@@ -146,25 +153,25 @@ def simulate(
     )
 
 
-_BLOCK_ROWS = 4096  # rows formatted and written per block
+_BLOCK_ROWS = 32768  # rows formatted and written per block
 
 
 def _texts(col, end):
     """Every value of a float column as "%.9g" + end, each distinct bit pattern
-    (so -0.0 and 0.0 stay apart) formatted once, as an object array."""
+    (so -0.0 and 0.0 stay apart) formatted once, as a list."""
     values, index = np.unique(col.view(np.int64), return_inverse=True)
     text = map(f"%.9g{end}".__mod__, values.view(float).tolist())
-    return np.fromiter(text, object, len(values))[index]
+    return np.fromiter(text, object, len(values))[index].tolist()
 
 
 def write_csv(trace: WaveformTrace, fh) -> None:
     """Stable CSV emission: fixed header, 9 significant digits, time-ordered.
 
-    Only the time changes on every sample. Within each block of rows, the
-    text after the time is built once per run of rows whose other columns
-    repeat the row before by bit pattern, and the block goes out as one
-    format of each row's time and its run's text. Every value prints as its
-    own "%.9g" would.
+    Only the time changes on every sample. Within each block of 32768 rows,
+    a run starts at each row where some column after the time differs from
+    the row before by bit pattern; the text after the time is joined once
+    per run, and the block goes out as one format of each row's time and its
+    run's text. Every value prints as its own "%.9g" would.
     """
     n = trace.inputs.shape[0]
     cols = ["t_s", "clk_v"]
@@ -174,12 +181,13 @@ def write_csv(trace: WaveformTrace, fh) -> None:
     tail = [trace.clk, *trace.inputs, trace.ca, trace.co, trace.cabar, trace.cobar, trace.resolved]
     ends = [","] * (len(tail) - 1) + ["\n"]
     for start in range(0, len(trace.time), _BLOCK_ROWS):
-        bits = np.array([col[start:start + _BLOCK_ROWS] for col in tail], float).view(np.int64)
-        new_run = np.ones(bits.shape[1], bool)
-        new_run[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
-        firsts = bits[:, new_run].view(float)  # each run's first row, per column
-        runs = np.add.reduce([_texts(col, end) for col, end in zip(firsts, ends)])
-        args = [None] * (2 * bits.shape[1])
+        block = [np.asarray(col[start:start + _BLOCK_ROWS], float).view(np.int64) for col in tail]
+        rows = len(block[0])
+        new_run = np.ones(rows, bool)
+        new_run[1:] = np.any([b[1:] != b[:-1] for b in block], axis=0)
+        texts = [_texts(b[new_run].view(float), end) for b, end in zip(block, ends)]
+        runs = np.fromiter(map("".join, zip(*texts)), object, len(texts[0]))
+        args = [None] * (2 * rows)
         args[0::2] = trace.time[start:start + _BLOCK_ROWS].tolist()
         args[1::2] = runs[np.cumsum(new_run) - 1].tolist()
-        fh.write(("%.9g,%s" * bits.shape[1]) % tuple(args))
+        fh.write(("%.9g,%s" * rows) % tuple(args))

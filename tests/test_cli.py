@@ -270,6 +270,17 @@ class TestWave:
         code, out, _ = run(capsys, "wave", "--weights", "1e-305,1k;1k", "--inputs", "10")
         assert code == 0 and out.splitlines()[-1].endswith(",1")
 
+    def test_subnormal_tau_warns_nothing(self, capsys, tmp_path):
+        # -te / tau once overflowed on every evaluation sample and printed a
+        # RuntimeWarning; any tau below 1e-300 puts each sample past the ramp
+        outs = []
+        for tau in ("1e-320", "1e-300"):
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(f"transient: {{tau_s: {tau}}}\n")
+            outs.append(run(capsys, "wave", "--config", str(cfg),
+                            "--weights", "60k,30k;40k", "--inputs", "01,11"))
+        assert outs[0] == outs[1] and outs[0][0] == 0 and outs[0][2] == ""
+
     def test_sample_count_bound_exit_3(self, capsys, tmp_path):
         # 2e9 samples are refused before any array is built
         cfg = tmp_path / "cfg.yaml"

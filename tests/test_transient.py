@@ -103,16 +103,39 @@ class TestSimulate:
         with pytest.raises(ValueError, match="at least one input vector"):
             simulate(AND_HW, [])
 
-    @pytest.mark.parametrize("seq", [[(0.7, 1)], ["11"], [(1, 1), ("1", "0")]])
+    @pytest.mark.parametrize("seq", [[(0.7, 1)], ["11"], [(1, 1), ("1", "0")],
+                                     [(1, 1), (0.7, 1), (0, 0)], [(0, 1), "11"]])
     def test_non_bit_values_rejected(self, seq):
         # the same 0/1 rule as evaluate: no value is rounded or parsed into a bit
-        with pytest.raises(ValueError, match="0/1"):
+        with pytest.raises(ValueError) as e:
             simulate(AND_HW, seq)
+        assert type(e.value) is ValueError and str(e.value) == "input bits must be 0/1"
 
     def test_vector_length_checked(self):
         with pytest.raises(DimensionMismatchError) as e:
             simulate(AND_HW, [(1, 1), (1, 0, 1)])
         assert str(e.value) == "input has 3 bits, gate expects 2"
+
+    @pytest.mark.parametrize("seq, bits", [([(1, 1, 1), (1, 1), (0, 0)], 3),
+                                           ([(1, 1), (0, 1, 1, 1), (1,)], 4)])
+    def test_first_wrong_length_reported(self, seq, bits):
+        # lengths are checked vector by vector before any value is read
+        with pytest.raises(DimensionMismatchError) as e:
+            simulate(AND_HW, seq)
+        assert str(e.value) == f"input has {bits} bits, gate expects 2"
+
+    @pytest.mark.parametrize("seq", [
+        [(True, False), (False, False), (True, True)],
+        np.array([[1, 0], [0, 0], [1, 1]]),
+        np.array([[1, 0], [0, 0], [1, 1]], np.int8),
+        (v for v in [(1, 0), (0, 0), (1, 1)]),
+        [[1, 0], (0.0, 0), (1.0, True)],
+    ], ids=["bools", "array", "int8_array", "generator", "mixed"])
+    def test_other_bit_containers_give_the_same_trace(self, seq):
+        got = simulate(AND_HW, seq)
+        want = simulate(AND_HW, [(1, 0), (0, 0), (1, 1)])
+        for name in TestReferenceSampler.FIELDS + ("cycle_resolved",):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_sample_count_bounded_before_allocation(self):
         # 2e9 samples: rejected from the clock alone, before any array is built
@@ -178,6 +201,21 @@ class TestReferenceSampler:
         tr = self.assert_same(gate, seq, params=TransientParams(tau=5e-6))
         assert tr.cycle_resolved == (False, True, False, True)
 
+    def test_ramp_through_the_underflow_edge(self):
+        # one sample dt into evaluation the exponent is -dt / tau: it steps
+        # from -708 through the subnormal results of math.exp down to -747,
+        # past the last nonzero one near -745.13. A supply of 1e300 V keeps
+        # v_dd / 2 times a subnormal decay nonzero, so a misplaced cutoff shows
+        gate = GateConfig((60.5e3, 60e3), (33e3,), VoltageLevels(v_dd=1e300, v_high=2e300))
+        clock = ClockSpec(period=4e-5, sample_dt=1e-6)
+        tiny = 0
+        for x in [*range(708, 745), *(745 + 0.01 * k for k in range(200))]:
+            tr = self.assert_same(gate, [(1, 1), (0, 0)], clock, TransientParams(tau=1e-6 / x))
+            if x >= 745:  # the losing node of a smallest subnormal decay
+                lose = np.minimum(tr.ca, tr.co)
+                tiny += np.count_nonzero((lose > 0) & (lose < 1e-7))
+        assert tiny > 0
+
     def test_slow_latch_misses_the_evaluation_window(self):
         # at 1 ohm transimpedance the 11 row settles in ~1.2 ms > t_eval = 1 ms
         params = TransientParams(tau=1e-4, r_sense=1.0)
@@ -224,7 +262,7 @@ class TestWriteCsvRows:
         ]
         assert_wave_csv_matches((cols * 3)[:7])
 
-    @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 8193])
+    @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 8193, 32767, 32768, 32769, 65537])
     def test_block_edges(self, rows):
         # the first columns change on every row; the rest hold still over runs
         # that end on one column alone, some runs across a block edge, and at
