@@ -224,18 +224,21 @@ _conductances = decision_hyperplane  # per-row name, not wrapped by perfbench/tr
 
 def branch_currents(config: GateConfig, bits) -> BranchCurrents:
     """Currents drawn by the active input memristors and by the threshold bank,
-    for one input vector (floats) or for columns of patterns (arrays). The
-    conductances add in slot order; an inactive input adds an exact 0.0."""
+    for one input vector (floats) or for columns of patterns (arrays). Terms
+    add x_n first, as in _decide_grid; an inactive input adds an exact 0.0."""
     bits = _check_bits(config, bits)
     g, g_t = _conductances(config)
     v = config.levels.v_dd
-    return BranchCurrents(i_in=v * sum(gi * b for gi, b in zip(g, bits)), i_th=v * g_t)
+    i_in = sum(gi * b for gi, b in zip(reversed(g), reversed(bits)))
+    return BranchCurrents(i_in=v * i_in, i_th=v * g_t)
 
 
 def decide(i_in, i_th, tie_rule: TieRule):
     """CA (int8) for scalars or arrays alike: 1 where the input branch wins, the
-    tie rule where the currents lie within the relative tie band, else 0."""
-    tie = np.abs(i_in - i_th) <= TIE_EPS_REL * np.maximum(np.abs(i_in), np.abs(i_th))
+    tie rule where the currents lie within the relative tie band, else 0. Both
+    currents are >= 0: GateConfig refuses every gate whose v_dd * g is below
+    the least normal float, and so any v_dd <= 0."""
+    tie = np.abs(i_in - i_th) <= TIE_EPS_REL * np.maximum(i_in, i_th)
     if tie_rule is TieRule.INPUT_WINS:
         return ((i_in > i_th) | tie).astype(np.int8)
     return ((i_in > i_th) & ~tie).astype(np.int8)
@@ -252,18 +255,13 @@ def evaluate(config: GateConfig, bits) -> GateOutput:
 
 
 def _decide_grid(config: GateConfig, axis: np.ndarray) -> np.ndarray:
-    """CA at every point of axis^n, flat, x1 the slowest axis. Doubling in slot
-    order adds each point's terms left to right, as branch_currents does, so
-    the 0/1 corners compare its currents bit for bit."""
+    """CA at every point of axis^n, flat, x1 the slowest axis. Each input's
+    terms go outermost, x_n first, so every point adds its terms in the order
+    branch_currents does and the 0/1 corners compare its currents bit for bit."""
     g, g_t = _conductances(config)
     s = np.zeros(1)
-    for gi in g:
-        if len(s) < 64 * len(axis) ** 2:  # s short next to the axis, as in every grid
-            s = (s[:, None] + gi * axis).ravel()  # the axis is the inner loop
-        else:  # a truth table's later levels: a column per axis value, a pass over s each
-            out = np.empty((len(s), len(axis)))  # row p: s[p] + gi * axis
-            np.add(s, gi * axis[:, None], out=out.T, order="C")
-            s = out.ravel()
+    for gi in reversed(g):
+        s = (s + gi * axis[:, None]).ravel()
     v = config.levels.v_dd
     s *= v  # in place: a second array of every point would cost time and memory
     return decide(s, v * g_t, config.tie_rule)

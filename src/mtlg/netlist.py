@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gate import GateConfig, TruthTable, evaluate, input_columns
+from .gate import MAX_FAN_IN, GateConfig, TruthTable, evaluate, input_columns
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,6 @@ def evaluate_network(net: Netlist, inputs) -> tuple[int, ...]:
 def network_truth_table(net: Netlist) -> list[TruthTable]:
     """One truth table per primary output, by exhaustive enumeration."""
     n = net.primary_inputs
-    if n > 16:
-        raise NetlistError([Diagnostic("FanIn", f"{n} primary inputs > 16")])
+    if n > MAX_FAN_IN:
+        raise NetlistError([Diagnostic("FanIn", f"{n} primary inputs > {MAX_FAN_IN}")])
     return [TruthTable(n, col) for col in _evaluate(net, input_columns(n))]

@@ -29,6 +29,7 @@ from .gate import (
 
 # strictness floor for rows that must hold with strict inequality
 _STRICT_EPS = 1e-9
+MAX_SYNTH_N = 10  # most inputs of a target that separability and synthesis take
 
 
 class SolverError(Exception):
@@ -125,8 +126,8 @@ def check_separability(tt: TruthTable):
     None for the rare monotone-but-unseparable case; when feasible it is a
     separating conductance certificate (g_1..g_n, 1).
     """
-    if tt.n > 10:
-        raise ValueError(f"separability check limited to n <= 10, got {tt.n}")
+    if tt.n > MAX_SYNTH_N:
+        raise ValueError(f"separability check limited to n <= {MAX_SYNTH_N}, got {tt.n}")
     w = _witness(tt)
     if w is not None:
         return False, w
@@ -139,8 +140,8 @@ def check_separability(tt: TruthTable):
 def synthesize(spec: SynthesisSpec) -> SynthesisResult:
     """Margin-maximizing synthesis plus quantization onto the device grid."""
     tt = spec.target
-    if tt.n > 10:
-        raise ValueError(f"synthesis limited to n <= 10, got {tt.n}")
+    if tt.n > MAX_SYNTH_N:
+        raise ValueError(f"synthesis limited to n <= {MAX_SYNTH_N}, got {tt.n}")
     witness = _witness(tt)
     if witness is not None:
         return SynthesisResult(feasible=False, infeasibility_witness=witness)
@@ -238,8 +239,8 @@ def verify_config(config: GateConfig, target: TruthTable) -> VerifyReport:
 def named_truth_table(name: str, n: int) -> tuple[TruthTable, str]:
     """Resolve a named target; returns (table, tap) where tap 'CO' means the
     function is realized as the complement read from the CO output."""
-    if not 1 <= n <= 10:
-        raise ValueError(f"named targets need n in 1..10, got {n}")
+    if not 1 <= n <= MAX_SYNTH_N:
+        raise ValueError(f"named targets need n in 1..{MAX_SYNTH_N}, got {n}")
     name = name.strip().upper()
     ones = np.bitwise_count(np.arange(2 ** n))  # active inputs of every row
     if name.startswith("MAJ:"):

@@ -6,8 +6,11 @@ principles with Fractions.
 
 ``reference_decide_points`` checks the corner and grid sums of
 ``mtlg.gate.truth_table`` and ``mtlg.gate.boundary_grid``: it adds each point's
-terms in a plain Python loop, in slot order, and leaves only the comparison to
-``mtlg.gate.decide``.
+terms in a plain Python loop, x_n first as the kernel does, and leaves only the
+comparison to ``mtlg.gate.decide``.
+
+``monotone_functions`` lists every monotone Boolean function of n inputs, for
+exhaustive checks of separability and ``classify``.
 
 ``reference_classify`` checks ``mtlg.gate.classify``: it is the classifier
 that copies both halves of the table for every input and compares them, and
@@ -140,17 +143,28 @@ def exact_truth_table(input_ms, th_ms, input_wins=True):
 
 
 def reference_decide_points(config: GateConfig, points) -> list[int]:
-    """CA at each point (a_1..a_n): g_i * a_i summed in floats in slot order,
-    the sums scaled by v_dd and compared by gate.decide."""
+    """CA at each point (a_1..a_n): g_i * a_i summed in floats from g_n * a_n
+    down to g_1 * a_1, the sums scaled by v_dd and compared by gate.decide."""
     g, g_t = decision_hyperplane(config)
     sums = []
     for a in points:
         s = 0.0
-        for gi, ai in zip(g, a):
+        for gi, ai in zip(reversed(g), reversed(a)):
             s += gi * float(ai)
         sums.append(s)
     v = config.levels.v_dd
     return decide(v * np.array(sums), v * g_t, config.tie_rule).tolist()
+
+
+def monotone_functions(n: int) -> list[tuple[int, ...]]:
+    """Every monotone Boolean function of n inputs, as its truth-table outputs
+    with x1 the MSB of the row index: each is a pair f0 <= f1 (row by row) of
+    monotone functions of x2..xn, f0 the rows with x1 = 0 and f1 those with
+    x1 = 1. Their counts are the Dedekind numbers."""
+    if n == 0:
+        return [(0,), (1,)]
+    half = monotone_functions(n - 1)
+    return [f0 + f1 for f0 in half for f1 in half if all(a <= b for a, b in zip(f0, f1))]
 
 
 def reference_inverter(v_in: float, levels: VoltageLevels) -> float:

@@ -203,14 +203,16 @@ class TestTruthTable:
                             bits_of_index(int(row), 16), input_wins=wins)
             assert got[row] == want == int(wins)
 
-    def test_rows_one_ulp_from_the_tie_band_edge(self):
+    @pytest.mark.parametrize("n, min_edges", [(6, 30), (12, 20), (16, 20)])
+    def test_rows_one_ulp_from_the_tie_band_edge(self, n, min_edges):
         # Pick the threshold so that moving the all-ones row's input current by
         # one ulp flips its decision: the table then agrees with evaluate only
-        # if it sums the conductances in the same order, bit for bit.
+        # if it sums the conductances in the same order, bit for bit. Wide
+        # tables check the kernel's long levels too.
         rng = np.random.default_rng(6)
-        ones, edges = (1,) * 6, 0
+        ones, edges = (1,) * n, 0
         for _ in range(40):
-            ms = tuple(10e3 * 10 ** rng.random(6))
+            ms = tuple(10e3 * 10 ** rng.random(n))
             i_in = branch_currents(GateConfig(ms, (1e4,)), ones).i_in
             m_t = 0.65 / (i_in * (1 + 1e-9))
             for _ in range(16):
@@ -222,10 +224,10 @@ class TestTruthTable:
                     edges += 1
                     ca = evaluate(cfg, ones).ca
                     assert truth_table(cfg).outputs[-1] == ca
-                    assert evaluate(cfg, [np.ones(1, np.int8)] * 6).ca[0] == ca
+                    assert evaluate(cfg, [np.ones(1, np.int8)] * n).ca[0] == ca
                     break
                 m_t = np.nextafter(m_t, 0.0)
-        assert edges >= 30
+        assert edges >= min_edges
 
     def test_fan_in_guard(self):
         with pytest.raises(FanInError):
@@ -477,7 +479,7 @@ class TestKernelReference:
                 yield GateConfig(r_in, (1.0 / g_t,), tie_rule=rule)
 
     @pytest.mark.parametrize("res", range(2, 8))
-    def test_grid_sums_points_in_slot_order(self, res):
+    def test_grid_sums_points_in_kernel_order(self, res):
         cfgs = TIE_GATES + [c for n in (2, 3) for c in self._gates(n, 4)]
         for cfg in cfgs:
             axis = np.linspace(0.0, 1.0, res)
@@ -485,7 +487,7 @@ class TestKernelReference:
             assert boundary_grid(cfg, res).grid.ravel().tolist() == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11, 14, 16])
-    def test_table_sums_corners_in_slot_order(self, n):
+    def test_table_sums_corners_in_kernel_order(self, n):
         cfgs = [c for c in TIE_GATES if c.n == n] + list(self._gates(n, 1))
         if n == 16:  # integer weights that tie exactly, as the benchmark draws them
             cfgs += [c for c in _wide_gates(3) if c.n == 16]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -10,7 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from mtlg import cli, synth
 from mtlg.device import DeviceModel
-from mtlg.gate import GateConfig, TieRule, TruthTable, bits_of_index, truth_table
+from mtlg.gate import (
+    GateConfig,
+    GateKind,
+    TieRule,
+    TruthTable,
+    bits_of_index,
+    classify,
+    truth_table,
+)
 from mtlg.synth import (
     DeviceRangeError,
     SolverError,
@@ -20,7 +29,12 @@ from mtlg.synth import (
     synthesize,
     verify_config,
 )
-from oracles import exact_truth_table, reference_verify_config, reference_witness
+from oracles import (
+    exact_truth_table,
+    monotone_functions,
+    reference_verify_config,
+    reference_witness,
+)
 
 AND2 = TruthTable(2, (0, 0, 0, 1))
 OR2 = TruthTable(2, (0, 1, 1, 1))
@@ -131,6 +145,32 @@ class TestCompletenessN2:
             if feasible:
                 got.add(bits)
         assert got == self.FEASIBLE
+
+
+@functools.cache
+def _monotone_census(n):
+    """Each monotone table of n inputs with check_separability's verdict."""
+    tables = [TruthTable(n, f) for f in monotone_functions(n)]
+    return [(tt, check_separability(tt)[0]) for tt in tables]
+
+
+class TestMonotoneCensus:
+    # the Dedekind numbers, and the positive threshold functions (OEIS A000617)
+    # without the constant 1, which the zero-vector witness refuses
+    @pytest.mark.parametrize("n, monotone, separable", [(1, 3, 2), (2, 6, 5), (3, 20, 19),
+                                                        (4, 168, 149)])
+    def test_every_monotone_table(self, n, monotone, separable):
+        census = _monotone_census(n)
+        assert len(census) == monotone
+        assert len(set(tt.outputs for tt, _ in census)) == monotone
+        assert sum(ok for _, ok in census) == separable
+
+    @pytest.mark.xfail(strict=True, reason="classify calls every monotone table "
+                       "threshold (ROADMAP item 2)")
+    def test_no_unseparable_table_is_called_threshold(self):
+        wrong = [tt.to_bitstring() for tt, ok in _monotone_census(4)
+                 if not ok and classify(tt).kind is GateKind.OTHER_THRESHOLD]
+        assert wrong == []
 
 
 class TestVerify:
