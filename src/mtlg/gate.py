@@ -12,6 +12,7 @@ import numbers
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -79,10 +80,15 @@ class GateConfig:
         # every nonzero current the float path forms lies between v_dd times the
         # least conductance and v_dd times their sum; below the normal floats
         # the tie band loses its precision, past the largest they overflow
-        g, g_t = _conductances(self)
-        v = self.levels.v_dd
+        (g, g_t), v = self._hyperplane, self.levels.v_dd
         if not (sys.float_info.min <= v * min(*g, g_t) and math.isfinite(v * (sum(g) + g_t))):
             raise ValueError(f"branch currents at v_dd {v:g} V leave the normal float range")
+
+    @cached_property
+    def _hyperplane(self) -> tuple[tuple[float, ...], float]:
+        # not a field: computed on first read, which __post_init__ makes when a gate is built
+        g = tuple(1.0 / m for m in self.input_memristances)
+        return g, sum(1.0 / m for m in self.threshold_memristances)
 
     @property
     def n(self) -> int:
@@ -213,13 +219,8 @@ def input_columns(n: int) -> list[np.ndarray]:
 
 def decision_hyperplane(config: GateConfig) -> tuple[tuple[float, ...], float]:
     """Coefficients (g_1..g_n) and right-hand side g_T of the boundary: the
-    conductances behind every decision of the float path."""
-    g = tuple(1.0 / m for m in config.input_memristances)
-    g_t = sum(1.0 / m for m in config.threshold_memristances)
-    return g, g_t
-
-
-_conductances = decision_hyperplane  # per-row name, not wrapped by perfbench/tracing.py
+    conductances behind every float decision, computed when the gate is built."""
+    return config._hyperplane
 
 
 def branch_currents(config: GateConfig, bits) -> BranchCurrents:
@@ -227,8 +228,7 @@ def branch_currents(config: GateConfig, bits) -> BranchCurrents:
     for one input vector (floats) or for columns of patterns (arrays). Terms
     add x_n first, as in _decide_grid; an inactive input adds an exact 0.0."""
     bits = _check_bits(config, bits)
-    g, g_t = _conductances(config)
-    v = config.levels.v_dd
+    (g, g_t), v = config._hyperplane, config.levels.v_dd
     i_in = sum(gi * b for gi, b in zip(reversed(g), reversed(bits)))
     return BranchCurrents(i_in=v * i_in, i_th=v * g_t)
 
@@ -258,11 +258,10 @@ def _decide_grid(config: GateConfig, axis: np.ndarray) -> np.ndarray:
     """CA at every point of axis^n, flat, x1 the slowest axis. Each input's
     terms go outermost, x_n first, so every point adds its terms in the order
     branch_currents does and the 0/1 corners compare its currents bit for bit."""
-    g, g_t = _conductances(config)
+    (g, g_t), v = config._hyperplane, config.levels.v_dd
     s = np.zeros(1)
     for gi in reversed(g):
         s = (s + gi * axis[:, None]).ravel()
-    v = config.levels.v_dd
     s *= v  # in place: a second array of every point would cost time and memory
     return decide(s, v * g_t, config.tie_rule)
 

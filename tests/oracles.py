@@ -10,7 +10,9 @@ terms in a plain Python loop, x_n first as the kernel does, and leaves only the
 comparison to ``mtlg.gate.decide``.
 
 ``monotone_functions`` lists every monotone Boolean function of n inputs, for
-exhaustive checks of separability and ``classify``.
+exhaustive checks of separability and ``classify``. ``input_permutation_classes``
+groups tables into classes under permutation of the inputs, so that a check
+whose verdict no input permutation changes runs once per class.
 
 ``reference_classify`` checks ``mtlg.gate.classify``: it is the classifier
 that copies both halves of the table for every input and compares them, and
@@ -35,6 +37,7 @@ before the planner skipped schedules it can rule out: it replans by trying every
 schedule length from 1 up and builds each schedule's full digit list.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -165,6 +168,27 @@ def monotone_functions(n: int) -> list[tuple[int, ...]]:
         return [(0,), (1,)]
     half = monotone_functions(n - 1)
     return [f0 + f1 for f0 in half for f1 in half if all(a <= b for a, b in zip(f0, f1))]
+
+
+def input_permutation_classes(tables, n: int) -> dict[int, list[tuple[int, ...]]]:
+    """The tables (0/1 outputs, x1 the MSB of the row index; n <= 6) grouped
+    into classes under permutation of the inputs. Each class is keyed by its
+    least packed table, row r as bit r, over the n! row permutations that the
+    input permutations induce, and lists its tables in their given order."""
+    rows, shifts = 2 ** n, np.arange(n - 1, -1, -1)
+    bits = (np.arange(rows)[:, None] >> shifts) & 1  # x1..xn of each row
+    weight = np.uint64(1) << np.arange(rows, dtype=np.uint64)
+    tables = [tuple(t) for t in tables]
+    outs = np.array(tables, dtype=np.uint64).reshape(len(tables), rows)
+    keys = np.full(len(tables), np.iinfo(np.uint64).max, dtype=np.uint64)
+    for p in itertools.permutations(range(n)):
+        # row r of the permuted table reads the row whose x_(i+1) is x_(p[i]+1) of r
+        src = bits[:, p] @ (1 << shifts)
+        keys = np.minimum(keys, outs[:, src] @ weight)
+    classes: dict[int, list[tuple[int, ...]]] = {}
+    for key, t in zip(keys.tolist(), tables):
+        classes.setdefault(key, []).append(t)
+    return classes
 
 
 def reference_inverter(v_in: float, levels: VoltageLevels) -> float:

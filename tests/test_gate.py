@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mtlg import files
 from mtlg import gate as gate_mod
 from mtlg.gate import (
     DimensionMismatchError,
@@ -478,17 +479,60 @@ class TestKernelReference:
                 g_t = sum(1.0 / r for r in r_in) * rng.uniform(0.1, 0.9)
                 yield GateConfig(r_in, (1.0 / g_t,), tie_rule=rule)
 
+    @staticmethod
+    def _edge_gates(point, count):
+        """Per tie rule, count gates whose tie band edge lies just below the input
+        current at point, summed x_n first (one ulp less flips the point), and
+        count whose edge lies just above it (one ulp more flips it). They are
+        found by stepping the threshold memristance, as in
+        test_rows_one_ulp_from_the_tie_band_edge, over fresh input draws: a step
+        can move the threshold current by two ulps and skip an edge. With three
+        nonzero terms at the point, a sum in another order that rounds to
+        another float decides the point the other way on one of these gates;
+        thresholds far from the point cannot tell the order."""
+        n = len(point)
+        rng = np.random.default_rng(n)
+        for rule in TieRule:
+            band = 1e-9 if rule is TieRule.INPUT_WINS else -1e-9
+            need = {"below": count, "above": count}
+            for _ in range(20 * count):
+                ms = tuple(10e3 * 10 ** rng.random(n))
+                s = 0.0
+                for gi, a in zip(reversed(decision_hyperplane(GateConfig(ms, (1e4,)))[0]),
+                                 reversed(point)):
+                    s += gi * a
+                i_in = 0.65 * s
+                m_t = 0.65 / (i_in * (1 + band)) * (1 + 2 ** -48)  # a few ulps short
+                for _ in range(64):
+                    cfg = GateConfig(ms, (m_t,), tie_rule=rule)
+                    i_th = 0.65 * decision_hyperplane(cfg)[1]
+                    lo, mid, hi = (int(decide(x, i_th, rule)) for x in
+                                   (np.nextafter(i_in, 0.0), i_in, np.nextafter(i_in, 1.0)))
+                    for side, flips in (("below", lo != mid), ("above", mid != hi)):
+                        if flips and need[side]:
+                            need[side] -= 1
+                            yield cfg
+                    m_t = np.nextafter(m_t, 0.0)
+                if not any(need.values()):
+                    break
+
     @pytest.mark.parametrize("res", range(2, 8))
     def test_grid_sums_points_in_kernel_order(self, res):
-        cfgs = TIE_GATES + [c for n in (2, 3) for c in self._gates(n, 4)]
+        axis = np.linspace(0.0, 1.0, res)
+        edge = list(self._edge_gates(tuple(axis[[-1, 1, max(res - 2, 1)]]), 3))
+        assert len(edge) == 12
+        cfgs = TIE_GATES + [c for n in (2, 3) for c in self._gates(n, 4)] + edge
         for cfg in cfgs:
-            axis = np.linspace(0.0, 1.0, res)
             want = reference_decide_points(cfg, itertools.product(axis, repeat=cfg.n))
             assert boundary_grid(cfg, res).grid.ravel().tolist() == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 11, 14, 16])
     def test_table_sums_corners_in_kernel_order(self, n):
         cfgs = [c for c in TIE_GATES if c.n == n] + list(self._gates(n, 1))
+        if n >= 3:  # the all-ones row one ulp from the band edge
+            edge = list(self._edge_gates((1.0,) * n, 1))
+            assert len(edge) == 4
+            cfgs += edge
         if n == 16:  # integer weights that tie exactly, as the benchmark draws them
             cfgs += [c for c in _wide_gates(3) if c.n == 16]
         for cfg in cfgs:
@@ -569,10 +613,10 @@ class TestBoundary:
         class Reached(Exception):
             pass
 
-        def stop(config):
+        def stop(*args):
             raise Reached
 
-        monkeypatch.setattr(gate_mod, "_conductances", stop)  # the kernel's first read
+        monkeypatch.setattr(gate_mod, "_decide_grid", stop)  # the kernel, past the guard
         with pytest.raises(Reached):
             boundary_grid(GateConfig((3e6,) * n, (2.5e6,)), res)
 
@@ -638,3 +682,116 @@ class TestGateConfig:
     def test_largest_finite_currents_accepted(self):
         cfg = GateConfig((1e-308, 1e3), (1e3,))
         assert truth_table(cfg).outputs == (0, 1, 1, 1)
+
+
+def _hex_pair(g, g_t):
+    return [x.hex() for x in g], g_t.hex()
+
+
+class TestGateConfigContract:
+    # a gate's conductances are computed once, when it is built: every way of
+    # making one must still give the pair that decision_hyperplane computed on
+    # each call before, and the pair must stay out of the dataclass fields
+    LEVELS = VoltageLevels(v_dd=0.6)
+    BASE = GateConfig((60.5e3, 60e3, 33.8e3), (41.6e3, 1e6), LEVELS, TieRule.THRESHOLD_WINS)
+    REPR = ("GateConfig(input_memristances=(60500.0, 60000.0, 33800.0), "
+            "threshold_memristances=(41600.0, 1000000.0), "
+            "levels=VoltageLevels(v_dd=0.6, v_high=0.9, v_low=0.0), "
+            "tie_rule=<TieRule.THRESHOLD_WINS: 'threshold_wins'>)")
+    # BASE pickled at protocol 4 before GateConfig kept its conductances
+    OLD_PICKLE = (
+        b"\x80\x04\x95\t\x01\x00\x00\x00\x00\x00\x00\x8c\tmtlg.gate\x94\x8c\nGateConfig\x94"
+        b"\x93\x94)\x81\x94}\x94(\x8c\x12input_memristances\x94G@\xed\x8a\x80\x00\x00\x00\x00"
+        b"G@\xedL\x00\x00\x00\x00\x00G@\xe0\x81\x00\x00\x00\x00\x00\x87\x94"
+        b"\x8c\x16threshold_memristances\x94G@\xe4P\x00\x00\x00\x00\x00"
+        b"GA.\x84\x80\x00\x00\x00\x00\x86\x94\x8c\x06levels\x94h\x00\x8c\rVoltageLevels\x94"
+        b"\x93\x94)\x81\x94}\x94(\x8c\x04v_dd\x94G?\xe3333333\x8c\x06v_high\x94"
+        b"G?\xec\xcc\xcc\xcc\xcc\xcc\xcd\x8c\x05v_low\x94G\x00\x00\x00\x00\x00\x00\x00\x00ub"
+        b"\x8c\x08tie_rule\x94h\x00\x8c\x07TieRule\x94\x93\x94\x8c\x0ethreshold_wins\x94"
+        b"\x85\x94R\x94ub.")
+
+    @staticmethod
+    def _built_pair(cfg):
+        """The pair as decision_hyperplane computed it on every call."""
+        g = tuple(1.0 / m for m in cfg.input_memristances)
+        return _hex_pair(g, sum(1.0 / m for m in cfg.threshold_memristances))
+
+    def _configs(self, tmp_path):
+        base = self.BASE
+        gate_file, net_file = tmp_path / "gate.yaml", tmp_path / "net.yaml"
+        gate_file.write_text("input_memristances_ohm: [60.5k, 60k, 33.8k]\n"
+                             "threshold_memristances_ohm: [41.6k, 1M]\n"
+                             "tie_rule: threshold_wins\n")
+        net_file.write_text("inputs: 3\n"
+                            "tie_rule: threshold_wins\n"
+                            "gates:\n"
+                            "  - {name: a, inputs: [60.5k, 60k, 33.8k], threshold: [41.6k, 1M]}\n"
+                            "  - {name: b, inputs: [12.3k, 45.6k], threshold: [7.89k]}\n"
+                            "wires:\n"
+                            "  - {from: in1, to: a.1}\n"
+                            "  - {from: in2, to: a.2}\n"
+                            "  - {from: in3, to: a.3}\n"
+                            "  - {from: a.CA, to: b.1}\n"
+                            "  - {from: in1, to: b.2}\n"
+                            "outputs: [b.CA]\n")
+        net = files.parse_netlist_file(net_file, self.LEVELS)
+        yield "constructor", base
+        yield "replace inputs", dataclasses.replace(base, input_memristances=(11e3, 22e3, 33e3))
+        yield "replace thresholds", dataclasses.replace(base, threshold_memristances=(5e3,))
+        yield "replace levels", dataclasses.replace(base, levels=VoltageLevels())
+        for lam in (4.0, 0.3):
+            yield f"scaled {lam}", base.scaled(lam)
+        yield "copy", copy.copy(base)
+        yield "deepcopy", copy.deepcopy(base)
+        for protocol in range(6):
+            yield f"pickle {protocol}", pickle.loads(pickle.dumps(base, protocol=protocol))
+        yield "gate file", files.load_gate_config(gate_file, self.LEVELS)
+        yield "netlist a", net.gates["a"]
+        yield "netlist b", net.gates["b"]
+
+    def test_every_config_reads_the_pair_it_was_built_with(self, tmp_path):
+        pairs = {}
+        for how, cfg in self._configs(tmp_path):
+            got = _hex_pair(*decision_hyperplane(cfg))
+            assert got == self._built_pair(cfg), how
+            pairs[how] = got
+        base = pairs["constructor"]
+        for how in ("copy", "deepcopy", "gate file", "netlist a",
+                    *(f"pickle {p}" for p in range(6))):
+            assert pairs[how] == base, how
+        for how in ("replace inputs", "replace thresholds", "scaled 4.0", "scaled 0.3"):
+            assert pairs[how] != base, how
+        assert pairs["replace levels"] == base  # v_dd enters the currents, not the pair
+
+    def test_the_pair_is_computed_when_the_gate_is_built(self):
+        cfg = GateConfig((1e4, 2e4), (3e4,))
+        assert "_hyperplane" in vars(cfg)
+        assert decision_hyperplane(cfg) is decision_hyperplane(cfg)
+
+    def test_repr_eq_hash_and_asdict_see_only_the_fields(self, tmp_path):
+        names = [f.name for f in dataclasses.fields(GateConfig)]
+        assert names == ["input_memristances", "threshold_memristances", "levels", "tie_rule"]
+        for how, cfg in self._configs(tmp_path):
+            values = tuple(getattr(cfg, name) for name in names)
+            assert hash(cfg) == hash(values), how
+            assert tuple(dataclasses.asdict(cfg)) == tuple(names), how
+            assert "_hyperplane" not in repr(cfg), how
+            assert cfg == dataclasses.replace(cfg), how
+        for cfg in (self.BASE, copy.deepcopy(self.BASE), pickle.loads(self.OLD_PICKLE)):
+            assert repr(cfg) == self.REPR and cfg == self.BASE and hash(cfg) == hash(self.BASE)
+        assert dataclasses.asdict(self.BASE) == {
+            "input_memristances": (60.5e3, 60e3, 33.8e3),
+            "threshold_memristances": (41.6e3, 1e6),
+            "levels": {"v_dd": 0.6, "v_high": 0.9, "v_low": 0.0},
+            "tie_rule": TieRule.THRESHOLD_WINS,
+        }
+
+    def test_a_pickle_from_before_the_pair_was_kept_loads(self):
+        old = pickle.loads(self.OLD_PICKLE)
+        assert "_hyperplane" not in vars(old)  # computed on its first read
+        fresh = GateConfig((60.5e3, 60e3, 33.8e3), (41.6e3, 1e6), self.LEVELS,
+                           TieRule.THRESHOLD_WINS)
+        assert truth_table(old) == truth_table(fresh) == TruthTable(3, (0, 1, 0, 1, 0, 1, 1, 1))
+        assert _hex_pair(*decision_hyperplane(old)) == _hex_pair(*decision_hyperplane(fresh))
+        assert evaluate(old, (1, 0, 1)).ca == evaluate(fresh, (1, 0, 1)).ca == 1
+        assert np.array_equal(boundary_grid(old, 9).grid, boundary_grid(fresh, 9).grid)

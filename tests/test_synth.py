@@ -31,6 +31,7 @@ from mtlg.synth import (
 )
 from oracles import (
     exact_truth_table,
+    input_permutation_classes,
     monotone_functions,
     reference_verify_config,
     reference_witness,
@@ -154,6 +155,16 @@ def _monotone_census(n):
     return [(tt, check_separability(tt)[0]) for tt in tables]
 
 
+@functools.cache
+def _class_census(n):
+    """Each input-permutation class of the monotone tables of n inputs: its
+    tables, and check_separability's verdict on its first one, which holds for
+    the class, since permuting the inputs permutes a separating weight vector."""
+    classes = input_permutation_classes(monotone_functions(n), n)
+    return [(tables, check_separability(TruthTable(n, tables[0]))[0])
+            for tables in classes.values()]
+
+
 class TestMonotoneCensus:
     # the Dedekind numbers, and the positive threshold functions (OEIS A000617)
     # without the constant 1, which the zero-vector witness refuses
@@ -165,11 +176,37 @@ class TestMonotoneCensus:
         assert len(set(tt.outputs for tt, _ in census)) == monotone
         assert sum(ok for _, ok in census) == separable
 
+    # up to input permutation (ROADMAP item 12); the separable classes hold
+    # A000617 minus the constant 1 tables between them
+    @pytest.mark.parametrize("n, monotone, classes, separable, separable_tables",
+                             [(4, 168, 30, 26, 149), (5, 7581, 210, 118, 3286)])
+    def test_every_monotone_class(self, n, monotone, classes, separable, separable_tables):
+        census = _class_census(n)
+        assert sum(len(tables) for tables, _ in census) == monotone
+        assert len(census) == classes
+        assert sum(ok for _, ok in census) == separable
+        assert sum(len(tables) for tables, ok in census if ok) == separable_tables
+
+    def test_classes_match_every_input_permutation_of_every_table(self):
+        n = 3  # all 256 tables: their least packed image under each of the 6 permutations
+        tables = [tuple(t >> r & 1 for r in range(2 ** n)) for t in range(2 ** 2 ** n)]
+        classes = input_permutation_classes(tables, n)
+        assert len(classes) == 80
+        for key, members in classes.items():
+            for t in members:
+                images = [sum(t[int("".join(str(bits_of_index(r, n)[i]) for i in p), 2)] << r
+                              for r in range(2 ** n))
+                          for p in itertools.permutations(range(n))]
+                assert min(images) == key
+
     @pytest.mark.xfail(strict=True, reason="classify calls every monotone table "
                        "threshold (ROADMAP item 2)")
     def test_no_unseparable_table_is_called_threshold(self):
         wrong = [tt.to_bitstring() for tt, ok in _monotone_census(4)
                  if not ok and classify(tt).kind is GateKind.OTHER_THRESHOLD]
+        # at n = 5 through the classes: no input permutation changes classify's kind
+        wrong += [TruthTable(5, tables[0]).to_bitstring() for tables, ok in _class_census(5)
+                  if not ok and classify(TruthTable(5, tables[0])).kind is GateKind.OTHER_THRESHOLD]
         assert wrong == []
 
 
