@@ -117,12 +117,12 @@ def cmd_boundary(args, cfg: files.ProjectConfig) -> int:
         )
         if bm is not None:
             fh.write(",".join(f"a{i + 1}" for i in range(gate.n)) + ",class\n")
-            # each axis value formatted once; one a1 slice of rows per write
+            # axis texts and both row tails built once; each a1 slice is one a1 join
             axes = [np.array([f"{v:.9g}," for v in a.tolist()], object) for a in bm.axes]
             rest = functools.reduce(np.add.outer, axes[1:]).ravel()
-            labels = np.array(["0\n", "1\n"], object)
+            zero, one = rest + "0\n", rest + "1\n"
             for a1, grid in zip(axes[0].tolist(), bm.grid):
-                fh.write("".join((a1 + rest + labels[grid.ravel()]).tolist()))
+                fh.write(a1 + a1.join(np.where(grid.ravel(), one, zero).tolist()))
     return EXIT_OK
 
 

@@ -236,20 +236,30 @@ def verify_config(config: GateConfig, target: TruthTable) -> VerifyReport:
     )
 
 
+def _name_number(text: str, what: str) -> int:
+    """The integer after the ':' of a named target, read from the text as typed."""
+    arg = text.split(":", 1)[1]
+    try:
+        return int(arg)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {arg!r}") from None
+
+
 def named_truth_table(name: str, n: int) -> tuple[TruthTable, str]:
     """Resolve a named target; returns (table, tap) where tap 'CO' means the
     function is realized as the complement read from the CO output."""
     if not 1 <= n <= MAX_SYNTH_N:
         raise ValueError(f"named targets need n in 1..{MAX_SYNTH_N}, got {n}")
-    name = name.strip().upper()
+    text = name.strip()
+    name = text.upper()
     ones = np.bitwise_count(np.arange(2 ** n))  # active inputs of every row
     if name.startswith("MAJ:"):
-        k = int(name.split(":", 1)[1])
+        k = _name_number(text, "MAJ rank")
         if not (1 <= k <= n):
             raise ValueError(f"MAJ rank must be in 1..{n}, got {k}")
         outs = ones >= k
     elif name.startswith("DICT:"):
-        i = int(name.split(":", 1)[1])
+        i = _name_number(text, "dictator index")
         if not (1 <= i <= n):
             raise ValueError(f"dictator index must be in 1..{n}, got {i}")
         outs = input_columns(n)[i - 1]

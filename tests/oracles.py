@@ -13,6 +13,8 @@ comparison to ``mtlg.gate.decide``.
 exhaustive checks of separability and ``classify``. ``input_permutation_classes``
 groups tables into classes under permutation of the inputs, so that a check
 whose verdict no input permutation changes runs once per class.
+``grid_reach`` enumerates the integer level grid of one gate and returns every
+table it realizes, for the single gate's reach on a b-bit device.
 
 ``reference_classify`` checks ``mtlg.gate.classify``: it is the classifier
 that copies both halves of the table for every input and compares them, and
@@ -189,6 +191,31 @@ def input_permutation_classes(tables, n: int) -> dict[int, list[tuple[int, ...]]
     for key, t in zip(keys.tolist(), tables):
         classes.setdefault(key, []).append(t)
     return classes
+
+
+def grid_reach(n: int, bits: int) -> set[int]:
+    """The tables one gate of n inputs and one threshold cell realizes on the
+    level grid of a `bits`-bit device with r_max = 10 r_min (the default
+    DeviceModel), ties counted as 1 (input_wins). Level k has conductance
+    g_lo + k*dg, and 9*g_k/dg = (2^bits - 1) + 9k is an integer, so each row is
+    an exact integer comparison. Tables are packed with row r as bit r (x1 the
+    MSB of r). Every input-level tuple is a permutation of a sorted multiset,
+    so each multiset's tables under every threshold level are permuted by every
+    input permutation."""
+    levels = (2 ** bits - 1) + 9 * np.arange(2 ** bits, dtype=np.int64)
+    rows, shifts = 2 ** n, np.arange(n - 1, -1, -1)
+    row_bits = (np.arange(rows)[:, None] >> shifts) & 1  # x1..xn of each row
+    weight = np.uint64(1) << np.arange(rows, dtype=np.uint64)
+    multisets = np.array(list(itertools.combinations_with_replacement(levels.tolist(), n)))
+    sums = multisets @ row_bits.T  # the input level sum of every row
+    tables = np.unique(np.concatenate([(sums >= t).astype(np.uint64) @ weight
+                                       for t in levels.tolist()]))
+    outs = (tables[:, None] >> np.arange(rows, dtype=np.uint64)) & np.uint64(1)
+    reach: set[int] = set()
+    for p in itertools.permutations(range(n)):
+        # row r of the permuted table reads the row whose x_(i+1) is x_(p[i]+1) of r
+        reach.update((outs[:, row_bits[:, p] @ (1 << shifts)] @ weight).tolist())
+    return reach
 
 
 def reference_inverter(v_in: float, levels: VoltageLevels) -> float:

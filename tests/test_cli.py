@@ -235,6 +235,31 @@ class TestBoundary:
     def test_rows_match_per_value_formatting_at_exact_ties(self, capsys, res, tie):
         self.assert_rows_match_reference(capsys, "3M,3M;3M", res, tie)
 
+    @pytest.mark.parametrize("tie", ["input_wins", "threshold_wins"])
+    @pytest.mark.parametrize("weights", ["3M,3M;1M", "4M,4M,4M;1M"])
+    def test_rows_match_reference_when_every_point_is_class_0(self, capsys, weights, tie):
+        # the threshold conductance is above the summed input conductance
+        assert not boundary_grid(GateConfig(*files.parse_weights(weights)), 9).grid.any()
+        self.assert_rows_match_reference(capsys, weights, 9, tie)
+
+    @pytest.mark.parametrize("weights", ["10k,1M;20k", "10k,1M,1M;20k"])
+    def test_rows_match_reference_when_each_a1_slice_is_one_class(self, capsys, weights):
+        # x1 decides alone at this resolution: every slice takes only one row tail
+        grid = boundary_grid(GateConfig(*files.parse_weights(weights)), 10).grid
+        slices = grid.reshape(10, -1)
+        assert slices.min(axis=1).tolist() == slices.max(axis=1).tolist() == [0] * 5 + [1] * 5
+        self.assert_rows_match_reference(capsys, weights, 10, "input_wins")
+
+    @pytest.mark.parametrize("tie", ["input_wins", "threshold_wins"])
+    @pytest.mark.parametrize("weights", ["3M,3M,3M;2.5M", "10k,20k,40k;30k"])
+    def test_rows_match_reference_at_two_rows_per_slice(self, capsys, weights, tie):
+        self.assert_rows_match_reference(capsys, weights, 2, tie)
+
+    @pytest.mark.parametrize("tie", ["input_wins", "threshold_wins"])
+    @pytest.mark.parametrize("res", [2, 3, 4, 31])
+    def test_rows_match_reference_at_exact_ties_on_three_inputs(self, capsys, res, tie):
+        self.assert_rows_match_reference(capsys, "3M,3M,3M;3M", res, tie)
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run(capsys, "boundary", "--weights", "3M,3M;4M", "--res", "31", "--out", str(f1))
@@ -340,6 +365,18 @@ class TestSynth:
     def test_malformed_bitstring_exit_2(self, capsys):
         code, _, err = run(capsys, "synth", "--target", "011", "--n", "2")
         assert code == 2 and "bitstring length 3" in err
+
+    @pytest.mark.parametrize("target, message", [
+        ("MAJ:x", "MAJ rank must be an integer, got 'x'"),
+        ("MAJ:1.5", "MAJ rank must be an integer, got '1.5'"),
+        ("maj:two", "MAJ rank must be an integer, got 'two'"),
+        ("DICT:", "dictator index must be an integer, got ''"),
+        (" dict:y ", "dictator index must be an integer, got 'y'"),
+    ])
+    def test_named_target_number_quoted_as_typed(self, capsys, target, message):
+        # the name was once upper-cased first, and int() quoted 'X' in its own words
+        code, out, err = run(capsys, "synth", "--target", target, "--n", "3")
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
     def test_quantized_output_flag(self, capsys, tmp_path):
         gate_file = tmp_path / "gate.yaml"

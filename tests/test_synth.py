@@ -31,6 +31,7 @@ from mtlg.synth import (
 )
 from oracles import (
     exact_truth_table,
+    grid_reach,
     input_permutation_classes,
     monotone_functions,
     reference_verify_config,
@@ -208,6 +209,36 @@ class TestMonotoneCensus:
         wrong += [TruthTable(5, tables[0]).to_bitstring() for tables, ok in _class_census(5)
                   if not ok and classify(TruthTable(5, tables[0])).kind is GateKind.OTHER_THRESHOLD]
         assert wrong == []
+
+
+def _separable_packed(n):
+    """The separable monotone tables of n inputs (n = 4 or 5), row r as bit r."""
+    if n == 4:
+        tables = [tt.outputs for tt, ok in _monotone_census(4) if ok]
+    else:
+        tables = [t for ts, ok in _class_census(n) if ok for t in ts]
+    return {sum(o << r for r, o in enumerate(t)) for t in tables}
+
+
+class TestGridReach:
+    """What one gate reaches on the level grid of a b-bit device (ROADMAP item 12)."""
+
+    @pytest.mark.parametrize("n, bits, reached", [(4, 2, 93), (4, 3, 149), (4, 4, 149),
+                                                  (5, 2, 500), (5, 3, 3106), (5, 4, 3286)])
+    def test_reach_counts(self, n, bits, reached):
+        reach = grid_reach(n, bits)
+        assert len(reach) == reached
+        assert reach <= _separable_packed(n)
+
+    @pytest.mark.parametrize("n, bits", [(1, 1), (1, 3), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2)])
+    def test_every_level_tuple(self, n, bits):
+        # every ordered tuple of input levels and every threshold level, row by row
+        levels = [(2 ** bits - 1) + 9 * k for k in range(2 ** bits)]
+        rows = [bits_of_index(r, n) for r in range(2 ** n)]
+        want = {sum(1 << r for r, row in enumerate(rows)
+                    if sum(lv for lv, b in zip(ls, row) if b) >= t)
+                for ls in itertools.product(levels, repeat=n) for t in levels}
+        assert grid_reach(n, bits) == want
 
 
 class TestVerify:
