@@ -14,7 +14,6 @@ from .device import (
 )
 from .gate import (
     BoundaryMap,
-    BranchCurrents,
     GateClass,
     GateConfig,
     GateKind,

@@ -232,8 +232,11 @@ def load_gate_config(path, levels: VoltageLevels | None = None,
     )
 
 
-_SOURCE_RE = re.compile(r"^(?:in(\d+)|(\w+)\.(CA|CO))$")
-_DEST_RE = re.compile(r"^(\w+)\.(\d+)$")
+# a gate name is what a wire or output can name before its '.'
+_NAME = r"\w+"
+_SOURCE_RE = re.compile(rf"^(?:in(\d+)|({_NAME})\.(CA|CO))$")
+_DEST_RE = re.compile(rf"^({_NAME})\.(\d+)$")
+_OUTPUT_RE = re.compile(rf"^({_NAME})\.(CA|CO)$")
 
 
 def _parse_source(text, where) -> Source:
@@ -264,6 +267,8 @@ def parse_netlist_file(path, levels: VoltageLevels | None = None,
         name = str(g.get("name", "")).strip()
         if not name:
             raise ParseError(f"{where}: gate needs a name")
+        if not re.fullmatch(_NAME, name):
+            raise ParseError(f"{where}: gate name must be letters, digits or '_', got {name!r}")
         if name in gates:
             raise ParseError(f"{where}: duplicate gate name {name!r}")
         gates[name] = GateConfig(
@@ -288,7 +293,7 @@ def parse_netlist_file(path, levels: VoltageLevels | None = None,
     outputs = []
     for i, o in enumerate(_sequence(data.get("outputs"), "outputs")):
         where = f"outputs[{i}]"
-        m = re.match(r"^(\w+)\.(CA|CO)$", str(o).strip())
+        m = _OUTPUT_RE.match(str(o).strip())
         if not m:
             raise ParseError(f"{where}: output must be '<gate>.<CA|CO>', got {o!r}")
         outputs.append((m.group(1), m.group(2)))

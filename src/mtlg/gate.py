@@ -17,8 +17,10 @@ from itertools import accumulate
 
 import numpy as np
 
-# Currents within this relative band count as a tie; the tie rule decides.
-TIE_EPS_REL = 1e-9
+# Currents within this relative band, 1 / TIE_BAND, count as a tie; the tie
+# rule decides. synth.verify_config compares in integers against TIE_BAND itself
+TIE_BAND = 10**9
+TIE_EPS_REL = 1 / TIE_BAND
 
 MAX_FAN_IN = 16
 MAX_GRID_POINTS = 10**7  # largest boundary grid, as many as the longest trace
@@ -94,21 +96,6 @@ class GateConfig:
     def n(self) -> int:
         return len(self.input_memristances)
 
-    def scaled(self, lam: float) -> "GateConfig":
-        """Every memristance multiplied by lam > 0 (truth table is invariant)."""
-        return GateConfig(
-            tuple(lam * m for m in self.input_memristances),
-            tuple(lam * m for m in self.threshold_memristances),
-            self.levels,
-            self.tie_rule,
-        )
-
-
-@dataclass(frozen=True)
-class BranchCurrents:
-    i_in: float | np.ndarray  # an array for columns of patterns
-    i_th: float
-
 
 @dataclass(frozen=True)
 class GateOutput:
@@ -153,12 +140,6 @@ class TruthTable:
         if len(bits) != 2 ** n:
             raise ValueError(f"bitstring length {len(bits)} is not 2^{n}")
         return TruthTable(n, tuple(reversed(bits)))
-
-    def to_bitstring(self) -> str:
-        return "".join(str(b) for b in reversed(self.outputs))
-
-    def complement(self) -> "TruthTable":
-        return TruthTable(self.n, 1 - self.array)
 
 
 def bits_of_index(k: int, n: int) -> tuple[int, ...]:
@@ -223,14 +204,15 @@ def decision_hyperplane(config: GateConfig) -> tuple[tuple[float, ...], float]:
     return config._hyperplane
 
 
-def branch_currents(config: GateConfig, bits) -> BranchCurrents:
-    """Currents drawn by the active input memristors and by the threshold bank,
-    for one input vector (floats) or for columns of patterns (arrays). Terms
-    add x_n first, as in _decide_grid; an inactive input adds an exact 0.0."""
+def branch_currents(config: GateConfig, bits) -> tuple[float | np.ndarray, float]:
+    """(i_in, i_th): the currents drawn by the active input memristors and by the
+    threshold bank, for one input vector (floats) or for columns of patterns
+    (i_in an array). Terms add x_n first, as in _decide_grid; an inactive input
+    adds an exact 0.0."""
     bits = _check_bits(config, bits)
     (g, g_t), v = config._hyperplane, config.levels.v_dd
     i_in = sum(gi * b for gi, b in zip(reversed(g), reversed(bits)))
-    return BranchCurrents(i_in=v * i_in, i_th=v * g_t)
+    return v * i_in, v * g_t
 
 
 def decide(i_in, i_th, tie_rule: TieRule):
@@ -247,11 +229,11 @@ def decide(i_in, i_th, tie_rule: TieRule):
 def evaluate(config: GateConfig, bits) -> GateOutput:
     """CA and CO as ints for one input vector, as int8 arrays for columns,
     with the branch currents they were decided from."""
-    bc = branch_currents(config, bits)
-    ca = decide(bc.i_in, bc.i_th, config.tie_rule)
+    i_in, i_th = branch_currents(config, bits)
+    ca = decide(i_in, i_th, config.tie_rule)
     if ca.ndim == 0:
         ca = int(ca)
-    return GateOutput(ca=ca, co=1 - ca, i_in=bc.i_in, i_th=bc.i_th)
+    return GateOutput(ca=ca, co=1 - ca, i_in=i_in, i_th=i_th)
 
 
 def _decide_grid(config: GateConfig, axis: np.ndarray) -> np.ndarray:

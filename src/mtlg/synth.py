@@ -20,6 +20,7 @@ import numpy as np
 
 from .device import DeviceModel, quantize
 from .gate import (
+    TIE_BAND,
     GateConfig,
     TieRule,
     TruthTable,
@@ -223,8 +224,8 @@ def verify_config(config: GateConfig, target: TruthTable) -> VerifyReport:
     for gi in g[:config.n]:
         sums = [s + b for s in sums for b in (0, gi)]
     tie_ca = 1 if config.tie_rule is TieRule.INPUT_WINS else 0
-    # relative tie band 1e-9: |s - g_t| <= max(s, g_t) / 10**9
-    ca = [tie_ca if 10 ** 9 * abs(s - g_t) <= max(s, g_t) else int(s > g_t)
+    # relative tie band 1 / TIE_BAND: |s - g_t| <= max(s, g_t) / TIE_BAND
+    ca = [tie_ca if TIE_BAND * abs(s - g_t) <= max(s, g_t) else int(s > g_t)
           for s in sums]
     margins = tuple((s - g_t) / g_t for s in sums)
     fails = [k for k, (c, o) in enumerate(zip(ca, target.outputs)) if c != o]
@@ -270,5 +271,5 @@ def named_truth_table(name: str, n: int) -> tuple[TruthTable, str]:
     elif name in ("XOR", "XNOR"):
         outs = ones % 2 if name == "XOR" else 1 - ones % 2
     else:
-        raise ValueError(f"unknown target name {name!r}")
+        raise ValueError(f"unknown target name {text!r}")
     return TruthTable(n, outs), "CO" if name in ("NAND", "NOR") else "CA"

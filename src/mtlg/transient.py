@@ -104,7 +104,8 @@ def simulate(
     for v in vectors:
         if len(v) != config.n:
             _check_bits(config, v)  # raises the length error for this vector
-    bits = np.array(_check_bits(config, list(zip(*vectors))), bool)  # (n, cycles)
+    bits = np.array(list(zip(*vectors)))  # (n, cycles); lengths checked, so zip cut nothing
+    out = evaluate(config, bits)  # every cycle's decision at once; checks every value
     n_samples = bits.shape[1] * clock.period / clock.sample_dt
     if not n_samples <= MAX_SAMPLES:
         raise ValueError(f"trace of {n_samples:.4g} samples exceeds {MAX_SAMPLES}")
@@ -113,9 +114,7 @@ def simulate(
     t_eq = clock.duty_eq * clock.period
     t_eval = clock.period - t_eq
 
-    # steady-state decision of every cycle at once; settling per cycle, since
-    # the scalar math.log of settle_time fixes its last bit
-    out = evaluate(config, bits)
+    # settling per cycle, since the scalar math.log of settle_time fixes its last bit
     cycle_flags = []
     for delta_i in (out.i_in - out.i_th).tolist():
         ts = settle_time(delta_i, params, lv)
@@ -143,7 +142,7 @@ def simulate(
     return WaveformTrace(
         time=time,
         clk=np.where(eq, lv.v_high, lv.v_low),
-        inputs=np.where(bits[:, c], lv.v_low, lv.v_high),  # active low
+        inputs=np.where(bits, lv.v_low, lv.v_high)[:, c],  # active low
         ca=ca,
         co=co,
         cabar=isolation_inverter(ca, lv),

@@ -246,9 +246,9 @@ def reference_simulate(
     # per-cycle steady-state decision and settling
     decisions = []
     for vec in input_sequence:
-        bc = branch_currents(config, vec)
+        i_in, i_th = branch_currents(config, vec)
         out = evaluate(config, vec)
-        ts = settle_time(bc.i_in - bc.i_th, params, lv)
+        ts = settle_time(i_in - i_th, params, lv)
         resolved = ts is not None and ts <= t_eval
         decisions.append((out, resolved))
 

@@ -61,7 +61,7 @@ def test_criterion_1_and_gate():
     cfg = GateConfig(*AND_HW)
     tt = truth_table(cfg)
     assert tt.outputs == (0, 0, 0, 1)
-    assert tt.complement().outputs == (1, 1, 1, 0)
+    assert TruthTable(tt.n, 1 - tt.array).outputs == (1, 1, 1, 0)
     m1, m2 = AND_HW[0]
     th = AND_HW[1][0]
     assert m1 > th and m2 > th
@@ -190,7 +190,8 @@ def test_criterion_7_random_properties():
         assert tt.outputs == exact_truth_table(
             ms, ths, input_wins=rule is TieRule.INPUT_WINS)
         lam = float(rng.uniform(0.01, 100.0))
-        scaled_tt = truth_table(cfg.scaled(lam))
+        scaled_tt = truth_table(GateConfig(
+            tuple(lam * m for m in ms), tuple(lam * t for t in ths), tie_rule=rule))
         assert scaled_tt.outputs == tt.outputs  # scale invariance
         weaker = GateConfig(ms, tuple(t * 1.5 for t in ths), tie_rule=rule)
         weaker_tt = truth_table(weaker)
@@ -237,8 +238,8 @@ def test_criterion_8_transient():
         assert (trace.co[k] > v_mid) == (out.co == 1)
     # an exact current tie cannot resolve
     tie_cfg = GateConfig((2e6,), (2e6,))
-    bc = branch_currents(tie_cfg, (1,))
-    assert bc.i_in == bc.i_th
+    i_in, i_th = branch_currents(tie_cfg, (1,))
+    assert i_in == i_th
     tie_trace = simulate(tie_cfg, [(1,)], ClockSpec(), params)
     assert tie_trace.cycle_resolved == (False,)
     # settle time strictly decreases as the current imbalance grows

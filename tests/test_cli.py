@@ -372,6 +372,8 @@ class TestSynth:
         ("maj:two", "MAJ rank must be an integer, got 'two'"),
         ("DICT:", "dictator index must be an integer, got ''"),
         (" dict:y ", "dictator index must be an integer, got 'y'"),
+        ("foo", "unknown target name 'foo'"),
+        (" xor3 ", "unknown target name 'xor3'"),
     ])
     def test_named_target_number_quoted_as_typed(self, capsys, target, message):
         # the name was once upper-cased first, and int() quoted 'X' in its own words

@@ -278,6 +278,11 @@ class TestNetlistFile:
         ("inputs: 1\nwires: [{from: in1, to: g.1, via: x}]\n", "wires[0]: unknown key 'via'"),
         ("inputs: 1\noutputs: 5\n", "outputs: expected a list"),
         ("inputs: 1\nlevels: {}\n", "unknown key 'levels'"),
+        # names no wire can name: refused at the gate, not at its first wire
+        *((f"inputs: 1\ngates: [{{name: '{name}', inputs: [1k], threshold: [1k]}}]\n"
+           f"wires: [{{from: in1, to: '{name}.1'}}]\n",
+           f"gates[0]: gate name must be letters, digits or '_', got '{name}'")
+          for name in ("g-h", "a b", "g.1")),
     ])
     def test_shape_errors(self, tmp_path, body, message):
         p = tmp_path / "net.yaml"

@@ -41,22 +41,22 @@ OR3_HW = GateConfig((31.5e3, 30e3, 28.2e3), (68.2e3,))
 
 class TestBranchCurrents:
     def test_and_config_both_active(self):
-        bc = branch_currents(AND_HW, (1, 1))
-        i_in, i_th = exact_branch_currents((60.5e3, 60e3), (33e3,), (1, 1), 0.65)
-        assert bc.i_in == pytest.approx(float(i_in), rel=1e-12)
-        assert bc.i_th == pytest.approx(float(i_th), rel=1e-12)
+        i_in, i_th = branch_currents(AND_HW, (1, 1))
+        want_in, want_th = exact_branch_currents((60.5e3, 60e3), (33e3,), (1, 1), 0.65)
+        assert i_in == pytest.approx(float(want_in), rel=1e-12)
+        assert i_th == pytest.approx(float(want_th), rel=1e-12)
         # the numbers themselves
-        assert bc.i_in == pytest.approx(21.577e-6, rel=1e-4)
-        assert bc.i_th == pytest.approx(19.697e-6, rel=1e-4)
+        assert i_in == pytest.approx(21.577e-6, rel=1e-4)
+        assert i_th == pytest.approx(19.697e-6, rel=1e-4)
 
     def test_all_zero_input_draws_nothing(self):
-        assert branch_currents(OR3_HW, (0, 0, 0)).i_in == 0.0
+        assert branch_currents(OR3_HW, (0, 0, 0))[0] == 0.0
 
     def test_or_config_single_input(self):
-        bc = branch_currents(OR_HW, (0, 1))
-        assert bc.i_in == pytest.approx(35.52e-6, rel=1e-3)
-        assert bc.i_th == pytest.approx(15.63e-6, rel=1e-3)
-        assert bc.i_in > bc.i_th
+        i_in, i_th = branch_currents(OR_HW, (0, 1))
+        assert i_in == pytest.approx(35.52e-6, rel=1e-3)
+        assert i_th == pytest.approx(15.63e-6, rel=1e-3)
+        assert i_in > i_th
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -84,11 +84,14 @@ class TestEvaluate:
             assert evaluate(cfg, bits).ca == bits[1]  # f = x2
 
     def test_one_vector_types_and_column_checks(self):
-        out, bc = evaluate(OR3_HW, (1, 0, 1)), branch_currents(OR3_HW, (1, 0, 1))
+        out, currents = evaluate(OR3_HW, (1, 0, 1)), branch_currents(OR3_HW, (1, 0, 1))
         assert type(out.ca) is int and type(out.co) is int
-        assert type(bc.i_in) is float and type(bc.i_th) is float
+        assert type(currents) is tuple and [type(i) for i in currents] == [float, float]
         assert type(out.i_in) is float and type(out.i_th) is float
         cols = input_columns(3)
+        i_in, i_th = branch_currents(OR3_HW, cols)
+        assert i_in.shape == (8,) and i_in.tobytes() == evaluate(OR3_HW, cols).i_in.tobytes()
+        assert i_th == currents[1]
         with pytest.raises(DimensionMismatchError):
             evaluate(OR3_HW, cols[:2])
         with pytest.raises(ValueError, match="0/1"):
@@ -128,7 +131,7 @@ class TestTruthTable:
     def test_bitstring_roundtrip(self):
         tt = TruthTable.from_bitstring("1000")
         assert tt.outputs == (0, 0, 0, 1)
-        assert tt.to_bitstring() == "1000"
+        assert "".join(str(b) for b in reversed(tt.outputs)) == "1000"
 
     def test_wrong_length_rejected(self):
         for outs in ((0, 1, 1), (0, 1, 1, 0, 1), [[0, 1], [1, 0]]):
@@ -177,7 +180,7 @@ class TestTruthTable:
         assert want != TruthTable(3, bits[::-1])
 
     def test_producers_store_python_ints(self):
-        tts = [truth_table(OR3_HW), truth_table(OR3_HW).complement(),
+        tts = [truth_table(OR3_HW), TruthTable(3, 1 - truth_table(OR3_HW).array),
                TruthTable.from_bitstring("0110")]
         assert all(type(o) is int for tt in tts for o in tt.outputs)
         assert repr(tts[1]) == "TruthTable(n=3, outputs=(1, 0, 0, 0, 0, 0, 0, 0))"
@@ -214,11 +217,11 @@ class TestTruthTable:
         ones, edges = (1,) * n, 0
         for _ in range(40):
             ms = tuple(10e3 * 10 ** rng.random(n))
-            i_in = branch_currents(GateConfig(ms, (1e4,)), ones).i_in
+            i_in = branch_currents(GateConfig(ms, (1e4,)), ones)[0]
             m_t = 0.65 / (i_in * (1 + 1e-9))
             for _ in range(16):
                 cfg = GateConfig(ms, (m_t,))
-                i_th = branch_currents(cfg, ones).i_th
+                i_th = branch_currents(cfg, ones)[1]
                 near = {int(decide(x, i_th, cfg.tie_rule))
                         for x in (np.nextafter(i_in, 0.0), i_in, np.nextafter(i_in, 1.0))}
                 if len(near) == 2:
@@ -326,7 +329,7 @@ class TestGoldenGateTables:
         h = hashlib.sha256()
         for cfg in _wide_gates(seed):
             tt = truth_table(cfg)
-            for t in (tt, tt.complement()):
+            for t in (tt, TruthTable(tt.n, 1 - tt.array)):
                 h.update(bytes(t.outputs) + f"{classify(t).label()};".encode())
             h.update(f"{decision_hyperplane(cfg)!r};".encode())
         assert h.hexdigest() == digest
@@ -352,7 +355,7 @@ class TestClassifyReference:
     def test_benchmark_style_gates(self, n):
         for cfg in _wide_gates(100 + n, fan_ins=(n,)):
             tt = truth_table(cfg)
-            for t in (tt, tt.complement()):
+            for t in (tt, TruthTable(tt.n, 1 - tt.array)):
                 assert repr(classify(t)) == repr(reference_classify(t))
 
     @pytest.mark.parametrize("n", range(1, 17))
@@ -445,7 +448,7 @@ class TestTruthTableContract:
             assert c == tt and hash(c) == -8052843231440671901
             assert dataclasses.asdict(c) == {"n": 3, "outputs": self.BITS}
             assert all(type(o) is int for o in c.outputs)
-            assert c.complement() == TruthTable(3, [1 - b for b in self.BITS])
+            assert TruthTable(c.n, 1 - c.array) == TruthTable(3, [1 - b for b in self.BITS])
         assert repr(dataclasses.replace(tt, outputs=[1 - b for b in self.BITS])) == (
             "TruthTable(n=3, outputs=(1, 0, 0, 1, 0, 1, 1, 0))")
         assert tt != TruthTable(3, self.BITS[::-1]) and tt != TruthTable(2, self.BITS[:4])
@@ -555,6 +558,11 @@ class TestDecide:
         assert decide(i_in, 1.0, TieRule.INPUT_WINS).tolist() == [1, 1, 0, 1, 0, 0]
         assert decide(i_in, 1.0, TieRule.THRESHOLD_WINS).tolist() == [0, 0, 0, 1, 0, 0]
 
+    def test_one_tie_band(self):
+        # the float band is the integer band's reciprocal, the very float 1e-9
+        assert gate_mod.TIE_BAND == 10**9
+        assert gate_mod.TIE_EPS_REL.hex() == (1e-9).hex() == "0x1.12e0be826d695p-30"
+
 
 class TestBoundary:
     def test_hyperplane_12(self):
@@ -585,7 +593,7 @@ class TestBoundary:
     def test_scale_invariance(self):
         base = GateConfig((3e6, 3e6), (2.5e6,))
         a = boundary_grid(base, 51)
-        b = boundary_grid(base.scaled(4.0), 51)
+        b = boundary_grid(GateConfig((4.0 * 3e6,) * 2, (4.0 * 2.5e6,)), 51)
         assert np.array_equal(a.grid, b.grid)
 
     def test_grid_guards(self):
@@ -674,7 +682,7 @@ class TestGateConfig:
         v = sys.float_info.min * 2**13  # exactly the least normal float over 2^13 ohm
         th = (2**13 * (1 - 1e-8),)
         cfg = GateConfig((2**13,), th, VoltageLevels(v_dd=v))
-        assert branch_currents(cfg, (1,)).i_in == sys.float_info.min
+        assert branch_currents(cfg, (1,))[0] == sys.float_info.min
         assert truth_table(cfg).outputs == exact_truth_table((2**13,), th) == (0, 0)
         with pytest.raises(ValueError, match="leave the normal float range"):
             GateConfig((2**13,), th, VoltageLevels(v_dd=v / 2))
@@ -740,7 +748,11 @@ class TestGateConfigContract:
         yield "replace thresholds", dataclasses.replace(base, threshold_memristances=(5e3,))
         yield "replace levels", dataclasses.replace(base, levels=VoltageLevels())
         for lam in (4.0, 0.3):
-            yield f"scaled {lam}", base.scaled(lam)
+            yield f"scaled {lam}", dataclasses.replace(
+                base,
+                input_memristances=tuple(lam * m for m in base.input_memristances),
+                threshold_memristances=tuple(lam * m for m in base.threshold_memristances),
+            )
         yield "copy", copy.copy(base)
         yield "deepcopy", copy.deepcopy(base)
         for protocol in range(6):

@@ -47,9 +47,9 @@ class TestSettleTime:
         assert settle_time(delta, PARAMS, LEVELS) == 0.0
 
     def test_and_config_at_11(self):
-        bc = branch_currents(AND_HW, (1, 1))
-        t = settle_time(bc.i_in - bc.i_th, PARAMS, LEVELS)
-        dv0 = abs(bc.i_in - bc.i_th) * PARAMS.r_sense
+        i_in, i_th = branch_currents(AND_HW, (1, 1))
+        t = settle_time(i_in - i_th, PARAMS, LEVELS)
+        dv0 = abs(i_in - i_th) * PARAMS.r_sense
         assert dv0 == pytest.approx(18.80e-3, rel=1e-3)
         assert t == pytest.approx(PARAMS.tau * math.log(0.325 / dv0), rel=1e-12)
         assert t == pytest.approx(285e-9, rel=5e-3)
@@ -110,6 +110,15 @@ class TestSimulate:
         with pytest.raises(ValueError) as e:
             simulate(AND_HW, seq)
         assert type(e.value) is ValueError and str(e.value) == "input bits must be 0/1"
+
+    def test_bit_values_checked_before_the_sample_count(self):
+        # 2e9 samples and a non-bit value: the value is reported, as it was
+        # while simulate checked the values itself before counting samples
+        with pytest.raises(ValueError) as e:
+            simulate(AND_HW, [(1, 1), (0.7, 1)], ClockSpec(sample_dt=1e-12))
+        assert type(e.value) is ValueError and str(e.value) == "input bits must be 0/1"
+        with pytest.raises(ValueError, match="trace of 4e\\+09 samples exceeds"):
+            simulate(AND_HW, [(1, 1), (0, 1)], ClockSpec(sample_dt=1e-12))
 
     def test_vector_length_checked(self):
         with pytest.raises(DimensionMismatchError) as e:
