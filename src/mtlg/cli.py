@@ -21,6 +21,7 @@ from .gate import (
     FanInError,
     GateConfig,
     TieRule,
+    TruthTable,
     boundary_grid,
     classify,
     decision_hyperplane,
@@ -145,7 +146,7 @@ def cmd_synth(args, cfg: files.ProjectConfig) -> int:
     target = args.target.strip()
     try:
         if set(target) <= {"0", "1"} and len(target) >= 2:
-            tt = synth_mod.TruthTable.from_bitstring(target, args.n)
+            tt = TruthTable.from_bitstring(target, args.n)
         elif args.n is None:
             raise files.ParseError("named targets need --n")
         else:

@@ -129,6 +129,14 @@ def _sequence(value, where) -> list:
     return value
 
 
+def _text(value, where) -> str:
+    """A text field, stripped. YAML reads null, yes, 007 and 7.10 as None, True,
+    7 and 7.1, so anything but a string is a ParseError."""
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: expected text, got {value!r}")
+    return value.strip()
+
+
 def _number(value, where, kind=float):
     """kind(value) for a numeric field. Strings are accepted (YAML 1.1 reads
     '1.0e6' as one); an int field rejects a float with a fractional part, and
@@ -240,7 +248,7 @@ _OUTPUT_RE = re.compile(rf"^({_NAME})\.(CA|CO)$")
 
 
 def _parse_source(text, where) -> Source:
-    m = _SOURCE_RE.match(str(text).strip())
+    m = _SOURCE_RE.match(_text(text, where))
     if not m:
         raise ParseError(
             f"{where}: source must be 'in<k>' or '<gate>.<CA|CO>', got {text!r}"
@@ -264,7 +272,7 @@ def parse_netlist_file(path, levels: VoltageLevels | None = None,
     for i, g in enumerate(_sequence(data.get("gates"), "gates")):
         where = f"gates[{i}]"
         g = _mapping(g, where, ("name", "inputs", "threshold"))
-        name = str(g.get("name", "")).strip()
+        name = _text(g.get("name", ""), f"{where}.name")
         if not name:
             raise ParseError(f"{where}: gate needs a name")
         if not re.fullmatch(_NAME, name):
@@ -283,7 +291,7 @@ def parse_netlist_file(path, levels: VoltageLevels | None = None,
         where = f"wires[{i}]"
         w = _mapping(w, where, ("from", "to"))
         src = _parse_source(w.get("from"), f"{where}.from")
-        m = _DEST_RE.match(str(w.get("to")).strip())
+        m = _DEST_RE.match(_text(w.get("to"), f"{where}.to"))
         if not m:
             raise ParseError(
                 f"{where}.to: destination must be '<gate>.<slot>', got {w.get('to')!r}"
@@ -293,7 +301,7 @@ def parse_netlist_file(path, levels: VoltageLevels | None = None,
     outputs = []
     for i, o in enumerate(_sequence(data.get("outputs"), "outputs")):
         where = f"outputs[{i}]"
-        m = _OUTPUT_RE.match(str(o).strip())
+        m = _OUTPUT_RE.match(_text(o, where))
         if not m:
             raise ParseError(f"{where}: output must be '<gate>.<CA|CO>', got {o!r}")
         outputs.append((m.group(1), m.group(2)))

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# branch_currents stays imported: perfbench/tracing.py wraps transient.branch_currents
-from .gate import GateConfig, VoltageLevels, _check_bits, branch_currents, evaluate
+from .gate import GateConfig, VoltageLevels, branch_currents, evaluate
 
 MAX_SAMPLES = 10**7  # longest trace simulate builds, 80 MB per column
 
@@ -103,7 +102,7 @@ def simulate(
         raise ValueError("need at least one input vector")
     for v in vectors:
         if len(v) != config.n:
-            _check_bits(config, v)  # raises the length error for this vector
+            branch_currents(config, v)  # raises the length error for this vector
     bits = np.array(list(zip(*vectors)))  # (n, cycles); lengths checked, so zip cut nothing
     out = evaluate(config, bits)  # every cycle's decision at once; checks every value
     n_samples = bits.shape[1] * clock.period / clock.sample_dt

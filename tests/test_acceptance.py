@@ -27,6 +27,7 @@ from mtlg.gate import (
     classify,
     decision_hyperplane,
     evaluate,
+    input_columns,
     truth_table,
 )
 from mtlg.netlist import Netlist, Source, Wire, network_truth_table, validate
@@ -189,10 +190,13 @@ def test_criterion_7_random_properties():
         # brute-force equivalence with the exact oracle
         assert tt.outputs == exact_truth_table(
             ms, ths, input_wins=rule is TieRule.INPUT_WINS)
-        lam = float(rng.uniform(0.01, 100.0))
-        scaled_tt = truth_table(GateConfig(
-            tuple(lam * m for m in ms), tuple(lam * t for t in ths), tie_rule=rule))
-        assert scaled_tt.outputs == tt.outputs  # scale invariance
+        # scale invariance, exact for a power of two: every current divides by lam
+        lam = 2.0 ** int(rng.integers(-6, 7))
+        scaled = GateConfig(
+            tuple(lam * m for m in ms), tuple(lam * t for t in ths), tie_rule=rule)
+        got, want = evaluate(scaled, input_columns(n)), evaluate(cfg, input_columns(n))
+        assert np.array_equal(got.i_in, want.i_in / lam) and got.i_th == want.i_th / lam
+        assert truth_table(scaled).outputs == tt.outputs
         weaker = GateConfig(ms, tuple(t * 1.5 for t in ths), tie_rule=rule)
         weaker_tt = truth_table(weaker)
         for k in range(2 ** n):

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 
@@ -283,6 +284,15 @@ class TestNetlistFile:
            f"wires: [{{from: in1, to: '{name}.1'}}]\n",
            f"gates[0]: gate name must be letters, digits or '_', got '{name}'")
           for name in ("g-h", "a b", "g.1")),
+        # YAML reads these as None, True, 7, 7.1 and 12; once str()'d into
+        # gates None, True and 7, and the wire to slot 10 of gate 7 into slot 1
+        *((f"inputs: 1\ngates: [{{name: {name}, inputs: [1k], threshold: [1k]}}]\n",
+           f"gates[0].name: expected text, got {got}")
+          for name, got in (("null", "None"), ("yes", "True"), ("007", "7"))),
+        ("inputs: 1\ngates: [{name: '7', inputs: [1k], threshold: [1k]}]\n"
+         "wires: [{from: in1, to: 7.10}]\n", "wires[0].to: expected text, got 7.1"),
+        ("inputs: 1\nwires: [{from: 1, to: g.1}]\n", "wires[0].from: expected text, got 1"),
+        ("inputs: 1\noutputs: [12]\n", "outputs[0]: expected text, got 12"),
     ])
     def test_shape_errors(self, tmp_path, body, message):
         p = tmp_path / "net.yaml"
@@ -301,3 +311,28 @@ class TestNetlistFile:
         )
         with pytest.raises(ParseError, match=r"wires\[0\].from"):
             parse_netlist_file(p)
+
+
+def _readme_yaml_blocks():
+    """The ```yaml blocks of README's "File formats" section, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```yaml\n(.*?)```", section, re.S)
+
+
+class TestReadmeFormats:
+    """README's example project config, gate config and netlist load with the
+    readers it documents, and the netlist computes XOR, as README says."""
+
+    def test_every_block_loads(self, tmp_path):
+        project, gate, netlist = _readme_yaml_blocks()
+        for name, body in (("project", project), ("gate", gate), ("net", netlist)):
+            (tmp_path / f"{name}.yaml").write_text(body)
+        cfg = load_project_config(tmp_path / "project.yaml")
+        assert (cfg.device.bits, cfg.seed, cfg.tie_rule) == (5, 7, TieRule.INPUT_WINS)
+        g = load_gate_config(tmp_path / "gate.yaml")
+        assert (g.input_memristances, g.threshold_memristances) == ((60500.0, 60000.0),
+                                                                     (33000.0,))
+        net = parse_netlist_file(tmp_path / "net.yaml")
+        assert validate(net) == []
+        assert [tt.outputs for tt in network_truth_table(net)] == [(0, 1, 1, 0)]

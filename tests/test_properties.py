@@ -77,14 +77,24 @@ class TestGateInvariants:
         raised = tuple(1 if i == pos else b for i, b in enumerate(bits))
         assert evaluate(cfg, raised).ca >= evaluate(cfg, bits).ca
 
-    @given(config_and_bits(),
-           st.floats(min_value=0.01, max_value=100.0, allow_nan=False))
+    # a power of two scales every conductance and current exactly; a general
+    # lambda rounds, and can move a row across the tie band edge (test below)
+    @given(config_and_bits(), st.integers(-6, 6).map(lambda k: 2.0 ** k))
     def test_scale_invariance(self, cb, lam):
         cfg, bits = cb
         scaled = GateConfig(tuple(lam * m for m in cfg.input_memristances),
                             tuple(lam * m for m in cfg.threshold_memristances),
                             cfg.levels, cfg.tie_rule)
-        assert evaluate(scaled, bits).ca == evaluate(cfg, bits).ca
+        got, want = evaluate(scaled, bits), evaluate(cfg, bits)
+        assert (got.i_in, got.i_th) == (want.i_in / lam, want.i_th / lam)
+        assert got.ca == want.ca
+
+    def test_general_scale_can_flip_a_row_at_the_band_edge(self):
+        ms, ths = (13625.870092613488, 70377.48403545546), (11415.668623078414,)
+        lam = 7.661368727868479
+        assert truth_table(GateConfig(ms, ths)).outputs == (0, 0, 0, 0)
+        scaled = GateConfig(tuple(lam * m for m in ms), tuple(lam * t for t in ths))
+        assert truth_table(scaled).outputs == (0, 0, 0, 1)
 
     @given(config_and_bits(), st.floats(min_value=1.001, max_value=10.0))
     def test_monotone_in_threshold_resistance(self, cb, factor):

@@ -53,6 +53,13 @@ def test_unused_sibling_imports_are_wrapped(path):
     assert _unused_sibling_imports(path) <= wrapped
 
 
+def test_package_is_its_docstring_only():
+    # each name is read from the module that defines it: the package
+    # re-exports nothing, so no name has a second spelling to keep alive
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert ast.get_docstring(tree) and len(tree.body) == 1
+
+
 def test_one_traced_round_of_every_workload_is_correct():
     # a traced run reports every workload's layers, so one round of it runs all
     # four under the wrappers; a crash there once showed only in the benchmark
