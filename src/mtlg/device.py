@@ -135,28 +135,13 @@ class ProgramResult:
     pulses: int
 
 
-def _plan_error(g0: float, gt: float, unit: float, qk: list[float], k: int):
-    """First digit and absolute gap error of the length-k schedule driving gap g0
-    (above r_min) toward gt.
-
-    Each pulse multiplies the gap by q = 1 - sf (qk[i] is q ** i); a reset pulse
-    also adds unit = sf * (r_max - r_min). The digits (1 = reset, 0 = set) are
-    chosen greedily from the heaviest (the last pulse) down.
-    """
-    need = (gt - qk[k] * g0) / unit
-    if need < 0:  # even an all-set schedule overshoots; error is what remains
-        return False, abs(gt - qk[k] * g0)
-    for w in qk[:k]:  # weights q^0 (last pulse) up to q^(k-1) (first pulse)
-        first = need >= w
-        if first:
-            need -= w
-    return first, unit * need
-
-
-def _plan(state: MemristorState, target: float, tol_abs: float, budget: int,
-          qk: list[float]):
+def _plan(state: MemristorState, target: float, tol_abs: float, budget: int):
     """First pulse of the shortest schedule within the pulse budget whose
-    predicted error fits tol, else of the first one with the least error."""
+    predicted error fits tol, else of the first one with the least error.
+
+    A length-k schedule drives the gap g0 above r_min toward gt. Each pulse
+    multiplies the gap by q = 1 - sf; a reset pulse also adds unit. The digits
+    (reset or set) are chosen greedily from the heaviest (the last pulse) down."""
     m = state.model
     g0, gt, q = state.resistance - m.r_min, target - m.r_min, 1.0 - m.step_fraction
     unit = m.step_fraction * (m.r_max - m.r_min)
@@ -164,16 +149,29 @@ def _plan(state: MemristorState, target: float, tol_abs: float, budget: int,
     # shrinks with k): start at the last of them, the least error among them.
     # Capping at sys.maxsize (bisect's longest range) moves no start: q ** k
     # is 0.0 there, so no all-set schedule that long overshoots
-    start = bisect.bisect(range(1, min(budget, sys.maxsize) + 1), False, key=lambda k: not (
-        (gt - q ** k * g0) / unit < 0 and abs(gt - q ** k * g0) > tol_abs))
+    start = bisect.bisect(range(1, min(budget, sys.maxsize) + 1), False,
+                          key=lambda k: gt - q ** k * g0 >= -tol_abs)
     best = None
     for k in range(max(start, 1), budget + 1):
-        qk.extend(q ** i for i in range(len(qk), k + 1))
-        first, err = _plan_error(g0, gt, unit, qk, k)
+        left = gt - q ** k * g0
+        rest = left / unit
+        if rest < 0:  # even an all-set schedule overshoots; error is what remains
+            first, err = False, abs(left)
+        else:
+            for i in range(k):  # weights q^0 (last pulse) up to q^(k-1) (first pulse)
+                first = rest >= q ** i
+                if first:
+                    rest -= q ** i
+            err = unit * rest
         if err <= tol_abs:
             return first
         if best is None or err < best[1]:
             best = (first, err)
+        # rounding is monotone and q ** k shrinks with k: once left == gt every
+        # longer schedule has this need, and once q ** k no longer moves rest no
+        # lighter weight changes the remainder, so none fits tol or comes closer
+        if left == gt and rest >= q ** k and rest - q ** k == rest:
+            break
     return best[0]
 
 
@@ -201,14 +199,14 @@ def program_to_target(
     v_prog = m.v_prog_threshold
     v_read = 0.5 * v_prog
     tol_abs = tol_rel * target
-    pulses, qk = 0, []  # qk[i] is q ** i, grown as far as the planner looks
+    pulses = 0
     while True:
         measured = v_read / read_current(state, v_read)
         if abs(measured - target) <= tol_abs:
             return ProgramResult(state=state, pulses=pulses)
         if pulses >= max_pulses:
             raise ProgramTimeoutError(target, state.resistance, pulses)
-        reset = _plan(state, target, tol_abs, max_pulses - pulses, qk)
+        reset = _plan(state, target, tol_abs, max_pulses - pulses)
         # any amplitude at the threshold or past it moves one full step
         state = apply_pulse(state, -v_prog if reset else v_prog, rng)
         pulses += 1

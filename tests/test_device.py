@@ -1,8 +1,12 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mtlg
 from mtlg.device import (
     DeviceModel,
     MemristorState,
@@ -196,6 +200,23 @@ class TestProgramToTarget:
             usual = program_to_target(state(100e3), target)
             assert (huge.state.resistance, huge.pulses) == (usual.state.resistance, usual.pulses)
 
+    def test_unreachable_band_times_out_in_time_linear_in_the_budget(self):
+        # no schedule of 0.9 steps from r_max lands within 1% of 50k; the
+        # planner once tried every schedule length before each pulse, and this
+        # budget ran far past the timeout
+        script = ("from mtlg.device import (DeviceModel, MemristorState, ProgramTimeoutError,"
+                  " program_to_target)\n"
+                  "try:\n"
+                  "    program_to_target(MemristorState(100e3, DeviceModel(step_fraction=0.9)),"
+                  " 50e3, max_pulses=10_000)\n"
+                  "except ProgramTimeoutError as e:\n"
+                  "    print(e)\n")
+        src = str(Path(mtlg.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.stdout == ("did not reach 50000 ohm within 10000 pulses "
+                               "(stuck at 19000 ohm)\n"), proc.stderr
+
     def test_with_programming_noise(self):
         m = DeviceModel(noise_sigma_rel=0.005)
         rng = np.random.default_rng(42)
@@ -240,6 +261,32 @@ class TestPlannerReference:
             assert got == _programming_outcome(reference_program_to_target, *args), args
             timeouts += got[0][0] == "ProgramTimeoutError"
         assert 20 < timeouts < 380  # both outcomes are well represented
+
+    def test_matches_reference_on_coarse_steps(self):
+        # coarse steps leave bands no schedule reaches, where the planner stops
+        # its search early; rail targets and tight tolerances make more of them
+        gen = np.random.default_rng(20261022)
+        timeouts = 0
+        for _ in range(300):
+            r_min = float(10 ** gen.uniform(2, 5))
+            r_max = r_min * float(10 ** gen.uniform(0.05, 2))
+            noisy = gen.random() < 0.3
+            m = DeviceModel(r_min=r_min, r_max=r_max,
+                            step_fraction=float(gen.uniform(0.6, 0.95)),
+                            noise_sigma_rel=float(gen.uniform(0, 0.02)) if noisy else 0.0)
+            start, target = (float(x) for x in gen.uniform(r_min, r_max, 2))
+            if gen.random() < 0.3:
+                start = float(gen.choice([r_min, r_max]))
+            if gen.random() < 0.3:
+                target = float(gen.choice([r_min, r_max]))
+            tol_rel = float(10 ** gen.uniform(-12, -1))
+            max_pulses = int(gen.integers(0, 120))
+            seed = int(gen.integers(2 ** 32)) if noisy else None
+            args = (MemristorState(start, m), target, tol_rel, max_pulses, seed)
+            got = _programming_outcome(program_to_target, *args)
+            assert got == _programming_outcome(reference_program_to_target, *args), args
+            timeouts += got[0][0] == "ProgramTimeoutError"
+        assert 30 < timeouts < 270  # both outcomes are well represented
 
 
 class TestDeviceModel:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mtlg.device import DeviceModel, MemristorState, apply_pulse, quantize
 from mtlg.gate import (
+    TIE_EPS_REL,
     GateConfig,
     TieRule,
     VoltageLevels,
@@ -19,6 +20,7 @@ from mtlg.gate import (
     input_columns,
     truth_table,
 )
+from mtlg.synth import verify_config
 from mtlg.transient import TransientParams, settle_time
 from oracles import exact_truth_table
 
@@ -95,6 +97,22 @@ class TestGateInvariants:
         assert truth_table(GateConfig(ms, ths)).outputs == (0, 0, 0, 0)
         scaled = GateConfig(tuple(lam * m for m in ms), tuple(lam * t for t in ths))
         assert truth_table(scaled).outputs == (0, 0, 0, 1)
+
+    # a general lambda cannot flip a row whose exact margin m = (s - g_t) / g_t
+    # clears the tie band |m| <= TIE_EPS_REL * max(1 + m, 1) by 1e-12 more: at
+    # either scale each float current is n + 3 roundings (n <= 16) from its
+    # exact value, under 3e-15 relative, and the band test adds a few more.
+    # Near-tie gates keep one row in the band; their other rows are checked
+    @given(st.one_of(gate_configs(max_n=8), near_tie_configs()), st.floats(0.01, 100))
+    def test_general_scale_keeps_rows_clear_of_the_band(self, cfg, lam):
+        tt = truth_table(cfg)
+        scaled = GateConfig(tuple(lam * m for m in cfg.input_memristances),
+                            tuple(lam * m for m in cfg.threshold_memristances),
+                            cfg.levels, cfg.tie_rule)
+        rows = zip(verify_config(cfg, tt).row_margins, tt.outputs, truth_table(scaled).outputs)
+        for m, want, got in rows:
+            if abs(m) > (TIE_EPS_REL + 1e-12) * max(1 + m, 1):
+                assert got == want
 
     @given(config_and_bits(), st.floats(min_value=1.001, max_value=10.0))
     def test_monotone_in_threshold_resistance(self, cb, factor):
