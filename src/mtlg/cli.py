@@ -21,7 +21,6 @@ from .gate import (
     FanInError,
     GateConfig,
     TieRule,
-    TruthTable,
     boundary_grid,
     classify,
     decision_hyperplane,
@@ -142,15 +141,8 @@ def cmd_synth(args, cfg: files.ProjectConfig) -> int:
     if args.out == "-":  # stdout carries the report
         raise files.ParseError("synth --out needs a file path; the report is printed on stdout")
     tie = _tie_rule(args, cfg)
-    tap = "CA"
-    target = args.target.strip()
     try:
-        if set(target) <= {"0", "1"} and len(target) >= 2:
-            tt = TruthTable.from_bitstring(target, args.n)
-        elif args.n is None:
-            raise files.ParseError("named targets need --n")
-        else:
-            tt, tap = synth_mod.named_truth_table(target, args.n)
+        tt, tap = synth_mod.target_table(args.target, args.n)
         spec = synth_mod.SynthesisSpec(
             target=tt, device=cfg.device, tie_rule=tie, min_margin_rel=args.margin
         )

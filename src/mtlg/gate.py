@@ -118,7 +118,7 @@ class TruthTable:
             raise ValueError(f"n must be a count of inputs, got {self.n!r}")
         out = np.asarray(self.outputs)  # any sequence or array of 0/1 numbers
         if out.dtype.kind in "SU":  # np.asarray reads "0110" as one string
-            raise ValueError("outputs must be 0/1 numbers, not text (see from_bitstring)")
+            raise ValueError("outputs must be 0/1 numbers, not text")
         if out.shape != (2 ** self.n,):
             raise ValueError(f"expected {2 ** self.n} outputs, got shape {out.shape}")
         if not ((out == 0) | (out == 1)).all():
@@ -130,16 +130,6 @@ class TruthTable:
     def array(self) -> np.ndarray:
         """The outputs as a read-only int8 array over the table's own bytes."""
         return np.frombuffer(self._bytes, dtype=np.int8)
-
-    @staticmethod
-    def from_bitstring(s: str, n: int | None = None) -> "TruthTable":
-        """Bitstring with the all-ones input first (descending index order)."""
-        bits = [int(c) for c in s.strip()]
-        if n is None:
-            n = (len(bits) - 1).bit_length()
-        if len(bits) != 2 ** n:
-            raise ValueError(f"bitstring length {len(bits)} is not 2^{n}")
-        return TruthTable(n, tuple(reversed(bits)))
 
 
 def bits_of_index(k: int, n: int) -> tuple[int, ...]:

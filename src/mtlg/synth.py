@@ -246,12 +246,24 @@ def _name_number(text: str, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {arg!r}") from None
 
 
-def named_truth_table(name: str, n: int) -> tuple[TruthTable, str]:
-    """Resolve a named target; returns (table, tap) where tap 'CO' means the
-    function is realized as the complement read from the CO output."""
+def target_table(text: str, n: int | None = None) -> tuple[TruthTable, str]:
+    """Read a target: a truth-table bitstring with the all-ones input row
+    first, whose length gives n when n is None, or a name (AND, OR, NAND,
+    NOR, XOR, XNOR, MAJ:k, DICT:i) that needs n. Returns (table, tap) where
+    tap 'CO' means the function is realized as the complement read from the
+    CO output."""
+    text = text.strip()
+    bitstring = len(text) >= 2 and set(text) <= {"0", "1"}
+    if bitstring:
+        n = (len(text) - 1).bit_length() if n is None else n
+        if len(text) != 2 ** n:
+            raise ValueError(f"bitstring length {len(text)} is not 2^{n}")
+    elif n is None:
+        raise ValueError("named targets need --n")
     if not 1 <= n <= MAX_SYNTH_N:
-        raise ValueError(f"named targets need n in 1..{MAX_SYNTH_N}, got {n}")
-    text = name.strip()
+        raise ValueError(f"targets need n in 1..{MAX_SYNTH_N}, got {n}")
+    if bitstring:
+        return TruthTable(n, [int(c) for c in reversed(text)]), "CA"
     name = text.upper()
     ones = np.bitwise_count(np.arange(2 ** n))  # active inputs of every row
     if name.startswith("MAJ:"):

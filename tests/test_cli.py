@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import itertools
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -440,6 +441,54 @@ class TestGoldenSynth:
         assert hashlib.sha256(err.encode()).hexdigest() == err_digest
 
 
+class TestGoldenTargetTexts:
+    """`mtlg synth` over a seeded sweep of target texts: names in mixed case
+    with spaces around them, MAJ and DICT numbers that are 0, out of range,
+    empty, x or 1.5, unknown names, and random bitstrings of length 2^m - 1 to
+    2^m + 1, each with --n absent, 0, 1, 3, 10 and 11. The digest of exit
+    code, stdout and stderr over every text whose n is in 1..10 was recorded
+    while the CLI told bitstrings from names; every other text exits 2."""
+
+    N_ARGS = (None, 0, 1, 3, 10, 11)
+    DIGEST = "701c9541858bb515289cbdbf1e0f74316c0a09da55a2bb94a3caee1348fbacbb"
+
+    @classmethod
+    def sweep(cls):
+        """(text, --n, the target's n) for each of the 414 texts."""
+        rng = random.Random(34)
+
+        def typed(word):  # mixed case, up to two spaces on either side
+            cased = "".join(rng.choice((c.lower(), c.upper())) for c in word)
+            return " " * rng.randrange(3) + cased + " " * rng.randrange(3)
+
+        for n in cls.N_ARGS:
+            for word in ("and", "nand", "or", "nor", "xor", "xnor"):
+                yield typed(word), n, n
+            for word in ("maj", "dict"):
+                for k in ("0", "1", "2", "3", "4", "5", "10", "11", "", "x", "1.5"):
+                    yield typed(f"{word}:{k}"), n, n
+            for text in ("1", "0", "", "  ", "2", "foo", "maj", "maj:-1"):
+                yield text, n, n
+        for m in range(1, 12):
+            for length in (2 ** m - 1, 2 ** m, 2 ** m + 1):
+                for n in cls.N_ARGS:
+                    bits = "".join(rng.choice("01") for _ in range(length))
+                    width = (length - 1).bit_length() if n is None and length >= 2 else n
+                    yield bits, n, width
+
+    def test_output_digest(self, capsys):
+        digest = hashlib.sha256()
+        in_range = 0
+        for text, n, width in self.sweep():
+            got = run(capsys, "synth", "--target", text, *(() if n is None else ("--n", str(n))))
+            if width is not None and 1 <= width <= 10:
+                digest.update(repr(got).encode())
+                in_range += 1
+            else:
+                assert got[0] == 2 and got[1] == "", (text, n, got)
+        assert in_range == 235 and digest.hexdigest() == self.DIGEST
+
+
 class TestProgram:
     def test_reports_pulses_and_resistance(self, capsys):
         code, out, _ = run(capsys, "program", "--target", "33k")
@@ -627,6 +676,8 @@ class TestBadInput:
         "n_negative": (None, ("synth", "--target", "AND", "--n", "-1"), "n in 1..10"),
         "n_11": (None, ("synth", "--target", "AND", "--n", "11"), "n in 1..10"),
         "n_20": (None, ("synth", "--target", "AND", "--n", "20"), "n in 1..10"),
+        # once exit 3 from synthesize: "synthesis limited to n <= 10, got 11"
+        "bitstring_11_inputs": (None, ("synth", "--target", "1" * 2048), "n in 1..10"),
         "r_max_inf": ("device: {r_max_ohm: .inf}\n", PROGRAM_WITH_CONFIG,
                       "device.r_max_ohm: expected a number, got inf"),
         "period_inf": ("clock: {period_s: .inf}\n", WAVE_WITH_CONFIG,
@@ -1024,8 +1075,8 @@ class TestScipyLoadedOnFirstSynthesis:
             codes = [cli.main(argv) for argv in commands]
         assert codes == [0] * 5, codes
         assert "scipy" not in sys.modules, "scipy loaded before any synthesis"
-        from mtlg.synth import check_separability, named_truth_table
-        feasible, _ = check_separability(named_truth_table("AND", 2)[0])
+        from mtlg.synth import check_separability, target_table
+        feasible, _ = check_separability(target_table("AND", 2)[0])
         assert feasible
         assert "scipy.optimize" in sys.modules
         print("ok")

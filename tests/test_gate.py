@@ -31,6 +31,7 @@ from mtlg.gate import (
     input_columns,
     truth_table,
 )
+from mtlg.synth import target_table
 from oracles import (exact_branch_currents, exact_ca, exact_truth_table,
                      reference_classify, reference_decide_points)
 
@@ -129,7 +130,7 @@ class TestTruthTable:
             )
 
     def test_bitstring_roundtrip(self):
-        tt = TruthTable.from_bitstring("1000")
+        tt, _ = target_table("1000")
         assert tt.outputs == (0, 0, 0, 1)
         assert "".join(str(b) for b in reversed(tt.outputs)) == "1000"
 
@@ -181,7 +182,7 @@ class TestTruthTable:
 
     def test_producers_store_python_ints(self):
         tts = [truth_table(OR3_HW), TruthTable(3, 1 - truth_table(OR3_HW).array),
-               TruthTable.from_bitstring("0110")]
+               target_table("0110")[0]]
         assert all(type(o) is int for tt in tts for o in tt.outputs)
         assert repr(tts[1]) == "TruthTable(n=3, outputs=(1, 0, 0, 0, 0, 0, 0, 0))"
 

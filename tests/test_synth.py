@@ -25,8 +25,8 @@ from mtlg.synth import (
     SolverError,
     SynthesisSpec,
     check_separability,
-    named_truth_table,
     synthesize,
+    target_table,
     verify_config,
 )
 from oracles import (
@@ -100,7 +100,7 @@ class TestSynthesize:
         assert res.quantized_ok
 
     def test_maj2_of_3_verified_over_all_rows(self):
-        maj2, _ = named_truth_table("MAJ:2", 3)
+        maj2, _ = target_table("MAJ:2", 3)
         res = synthesize(SynthesisSpec(maj2))
         assert res.feasible
         assert verify_config(GateConfig(res.memristances, (res.threshold_memristance,)),
@@ -280,7 +280,7 @@ class TestSingleLp:
     @pytest.mark.parametrize("name,n", [("MAJ:3", 5), ("AND", 4), ("OR", 4),
                                         ("DICT:2", 3)])
     def test_feasible_target_solves_one_lp(self, lp_ratios, name, n):
-        tt, _ = named_truth_table(name, n)
+        tt, _ = target_table(name, n)
         assert synthesize(SynthesisSpec(tt)).feasible
         assert lp_ratios == [10.0]
 
@@ -417,24 +417,24 @@ class TestVerifyConfigExact:
 
 class TestNamedTargets:
     def test_nand_reads_from_co(self):
-        tt, tap = named_truth_table("NAND", 2)
+        tt, tap = target_table("NAND", 2)
         assert tap == "CO"
         assert tt.outputs == AND2.outputs
 
     def test_maj_and_dict(self):
-        tt, _ = named_truth_table("MAJ:1", 2)
+        tt, _ = target_table("MAJ:1", 2)
         assert tt.outputs == OR2.outputs
-        tt, _ = named_truth_table("DICT:2", 3)
+        tt, _ = target_table("DICT:2", 3)
         assert tt.outputs == tuple(bits_of_index(k, 3)[1] for k in range(8))
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            named_truth_table("XYZZY", 2)
+            target_table("XYZZY", 2)
 
     @pytest.mark.parametrize("n", [0, -1, 11, 20])
     def test_input_count_out_of_range(self, n):
         with pytest.raises(ValueError, match="n in 1..10"):
-            named_truth_table("AND", n)
+            target_table("AND", n)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_tables_match_row_definitions(self, n):
@@ -450,6 +450,6 @@ class TestNamedTargets:
             **{f"DICT:{i}": ([b[i - 1] for b in rows], "CA") for i in range(1, n + 1)},
         }
         for name, (outs, tap) in want.items():
-            got = named_truth_table(f" {name.lower()}", n)
+            got = target_table(f" {name.lower()}", n)
             assert got == (TruthTable(n, outs), tap)
             assert all(type(b) is int for b in got[0].outputs)
